@@ -13,16 +13,25 @@ module Strategy = Ufork_core.Strategy
 module E = Ufork_workload.Experiments
 module Units = Ufork_util.Units
 
+let systems =
+  [
+    ("ufork-copa", E.Ufork Strategy.Copa);
+    ("ufork-coa", E.Ufork Strategy.Coa);
+    ("ufork-full", E.Ufork Strategy.Full_copy);
+    ("ufork-toctou", E.Ufork_toctou Strategy.Copa);
+    ("cheribsd", E.Cheribsd);
+    ("nephele", E.Nephele);
+    ("linux", E.Linux_ref);
+    ("ufork", E.Ufork Strategy.Copa);
+  ]
+
+let system_name s = fst (List.find (fun (_, s') -> s' = s) systems)
+
 let system_conv =
-  let parse = function
-    | "ufork" | "ufork-copa" -> Ok (E.Ufork Strategy.Copa)
-    | "ufork-coa" -> Ok (E.Ufork Strategy.Coa)
-    | "ufork-full" -> Ok (E.Ufork Strategy.Full_copy)
-    | "ufork-toctou" -> Ok (E.Ufork_toctou Strategy.Copa)
-    | "cheribsd" -> Ok E.Cheribsd
-    | "nephele" -> Ok E.Nephele
-    | "linux" -> Ok E.Linux_ref
-    | s -> Error (`Msg (Printf.sprintf "unknown system %S" s))
+  let parse name =
+    match List.assoc_opt name systems with
+    | Some s -> Ok s
+    | None -> Error (`Msg (Printf.sprintf "unknown system %S" name))
   in
   let print ppf s = Format.pp_print_string ppf (E.system_label s) in
   Arg.conv (parse, print)
@@ -241,33 +250,24 @@ let meter_cmd =
        ~doc:"Audit the mechanism-event counters behind the numbers")
     Term.(const run $ system_arg)
 
-(* Shared by the trace/check/profile/stats front ends: one small run of
-   a representative workload, with its one-line result printed. *)
-let small_experiment_arg ~verb =
+(* The observer front ends' workload argument, shared by trace, check,
+   explain, profile and stats. *)
+let workload_arg ~verb ~default =
   Arg.(
     value
-    & pos 0
-        (enum [ ("hello", `Hello); ("redis", `Redis); ("unixbench", `Unixbench) ])
-        `Hello
-    & info [] ~docv:"EXPERIMENT"
+    & pos 0 (some (enum E.workloads)) None
+    & info [] ~docv:"WORKLOAD"
         ~doc:
-          (Printf.sprintf "Experiment to %s: hello (default), redis, or \
-                           unixbench." verb))
+          (Printf.sprintf
+             "Workload to %s: hello, redis, unixbench, or storm (one \
+              concurrent forker per core). Default: %s."
+             verb default))
 
-let run_small_experiment system = function
-  | `Hello ->
-      let r = E.hello_run system in
-      Printf.printf "%s: fork %.1f us, child memory %.2f MB\n"
-        (E.system_label r.E.system) r.E.fork_latency_us r.E.child_memory_mb
-  | `Redis ->
-      let entries = 50 and value_len = 100 * 1024 in
-      let r = E.redis_run system ~entries ~value_len ~db_label:"5 MB" in
-      Printf.printf "%s: save %.2f ms, fork %.1f us\n" (E.system_label system)
-        r.E.save_ms r.E.fork_us
-  | `Unixbench ->
-      let r = E.unixbench_run system ~spawn_iters:50 ~context1_iters:500 in
-      Printf.printf "%s: Spawn(50) %.2f ms, Context1(500) %.2f ms\n"
-        (E.system_label system) r.E.spawn_ms r.E.context1_ms
+let run_observed system w =
+  E.run_workload system (Option.value w ~default:E.Hello)
+
+let cores_arg ~doc =
+  Arg.(value & opt (some int) None & info [ "cores" ] ~docv:"N" ~doc)
 
 (* trace: run an experiment with the event bus recording and write the
    trace out as JSONL (one record per line) or a Chrome about:tracing
@@ -289,12 +289,11 @@ let trace_cmd =
             "Trace encoding: jsonl (default; one JSON record per line) or \
              chrome (load in chrome://tracing or Perfetto).")
   in
-  let experiment = small_experiment_arg ~verb:"trace" in
+  let experiment = workload_arg ~verb:"trace" ~default:"hello" in
   let run system out format experiment =
-    E.set_trace_out ~format (Some out);
-    Fun.protect
-      ~finally:(fun () -> E.set_trace_out None)
-      (fun () -> run_small_experiment system experiment);
+    E.with_run
+      { E.empty_run with trace_out = Some (out, format) }
+      (fun () -> print_endline (run_observed system experiment));
     (* Ring overflow, if any, was reported to stderr by the flush (the
        JSONL header line carries the same count). *)
     Printf.printf "trace written to %s\n" out
@@ -309,185 +308,159 @@ let trace_cmd =
 (* check: run a workload with the machine-state sanitizer and trace
    linter armed; exit non-zero on any invariant violation. *)
 let check_cmd =
-  let experiment =
+  let module Invariant = Ufork_analysis.Invariant in
+  (* The runtime invariants a flag arms, in catalogue order. *)
+  let detectors =
+    [
+      ( Invariant.Data_race,
+        "race",
+        "Also arm the happens-before race detector: flag conflicting \
+         shared-state writes with no ordering edge (invariant R1)." );
+      ( Invariant.Lock_order,
+        "lockdep",
+        "Also arm the runtime lock-order checker: build the acquisition \
+         graph from the lock instrumentation and flag cycles or \
+         descending pt-shard nestings (invariant R2)." );
+      ( Invariant.Lock_stall,
+        "stall",
+        "Also arm the lock-stall check: compute the whole run's critical \
+         path and fail when one lock's wait edges cover at least 20% of it \
+         (invariant R3)." );
+      ( Invariant.Cap_provenance,
+        "capflow",
+        "Also arm the capability-provenance taint checker: every tagged \
+         capability reachable in a μprocess's pages must carry that \
+         μprocess's provenance — rebased or freshly minted for it, never \
+         the kernel root's (invariant R4). Checked on the capability \
+         store/load stream, at every fork completion, and in the final \
+         state sweep." );
+    ]
+  in
+  let flag_of inv =
+    let _, flag, _ = List.find (fun (i, _, _) -> i = inv) detectors in
+    "--" ^ flag
+  in
+  let detect =
+    Term.(
+      List.fold_left
+        (fun acc (inv, name, doc) ->
+          const (fun on rest -> if on then inv :: rest else rest)
+          $ Arg.(value & flag & info [ name ] ~doc)
+          $ acc)
+        (const []) (List.rev detectors))
+  in
+  let system =
     Arg.(
       value
-      & pos 0
-          (enum
-             [
-               ("hello", `Hello); ("redis", `Redis);
-               ("unixbench", `Unixbench); ("storm", `Storm);
-             ])
-          `Hello
-      & info [] ~docv:"EXPERIMENT"
+      & opt (some system_conv) None
+      & info [ "system"; "s" ] ~docv:"SYSTEM"
           ~doc:
-            "Workload to check: hello (default), redis, unixbench, or \
-             storm (one concurrent forker per core — the SMP lock-contention \
-             workload).")
+            "OS to run on: ufork-copa (default), ufork-coa, ufork-full, \
+             ufork-toctou, cheribsd, nephele, linux.")
   in
-  let check_cores =
+  let experiment = workload_arg ~verb:"check" ~default:"hello" in
+  let cores =
+    cores_arg
+      ~doc:
+        "Core count to boot the checked machine with (default: the \
+         workload's own, typically 4). The race job sweeps this to 64."
+  in
+  let chaos =
     Arg.(
       value
-      & opt (some int) None
-      & info [ "cores" ] ~docv:"N"
+      & opt
+          (some
+             (enum
+                (("list", `List)
+                :: List.map (fun (c : E.chaos) -> (c.E.name, `Row c))
+                     E.chaos_table)))
+          None
+      & info [ "chaos" ] ~docv:"NAME"
           ~doc:
-            "Core count to boot the checked machine with (default: the \
-             workload's own, typically 4). The race job sweeps this to 64.")
+            "Fault injection: inject chaos row $(docv) and arm the detector \
+             its invariant needs. The run must fail with exactly that \
+             invariant. $(b,--system), $(b,--cores) and WORKLOAD default to \
+             the row's control. $(b,--chaos list) prints the \
+             table.")
   in
-  let race =
-    Arg.(
-      value & flag
-      & info [ "race" ]
-          ~doc:
-            "Also arm the happens-before race detector: flag conflicting \
-             shared-state writes with no ordering edge (invariant R1).")
+  let print_table () =
+    Printf.printf "%-20s %-6s %-16s %-12s %-9s %5s  %-9s  %s\n" "chaos"
+      "expect" "subject" "system" "workload" "cores" "detector" "injection";
+    List.iter
+      (fun (c : E.chaos) ->
+        let system, workload, cores = c.E.control in
+        Printf.printf "%-20s %-6s %-16s %-12s %-9s %5d  %-9s  %s\n" c.E.name
+          (Invariant.id c.E.expect)
+          (Option.value c.E.subject ~default:"-")
+          (system_name system) (E.workload_name workload) cores
+          (flag_of c.E.expect) c.E.doc)
+      E.chaos_table
   in
-  let chaos_no_bkl =
-    Arg.(
-      value & flag
-      & info [ "chaos-no-bkl" ]
-          ~doc:
-            "Fault injection: disable the big kernel lock and seed one \
-             deliberate unlocked shared-state write. With $(b,--race) the \
-             check must fail with R1.")
-  in
-  let chaos_unshard =
-    Arg.(
-      value & flag
-      & info [ "chaos-unshard" ]
-          ~doc:
-            "Fault injection: disable exactly one sharded kernel lock (the \
-             stats shard guarding the fork-latency gauge), seeding nothing \
-             else. Under the $(b,storm) workload with $(b,--race) the check \
-             must fail with exactly one R1 — the control certifying the \
-             detector sees through the lock split.")
-  in
-  let lockdep =
-    Arg.(
-      value & flag
-      & info [ "lockdep" ]
-          ~doc:
-            "Also arm the runtime lock-order checker: build the \
-             acquisition graph from the lock instrumentation and flag \
-             cycles or descending pt-shard nestings (invariant R2).")
-  in
-  let chaos_invert_shard_order =
-    Arg.(
-      value & flag
-      & info [ "chaos-invert-shard-order" ]
-          ~doc:
-            "Fault injection: spawn one rogue thread that acquires a \
-             page-table shard pair in descending index order. With \
-             $(b,--lockdep) the check must fail with exactly R2 — the \
-             control certifying the order checker is live.")
-  in
-  let capflow =
-    Arg.(
-      value & flag
-      & info [ "capflow" ]
-          ~doc:
-            "Also arm the capability-provenance taint checker: every \
-             tagged capability reachable in a μprocess's pages must carry \
-             that μprocess's provenance — rebased or freshly minted for \
-             it, never the kernel root's (invariant R4). Checked on the \
-             capability store/load stream, at every fork completion, and \
-             in the final state sweep.")
-  in
-  let chaos_skip_rebase =
-    Arg.(
-      value & flag
-      & info [ "chaos-skip-rebase" ]
-          ~doc:
-            "Fault injection: the next fork silently skips the rebase of \
-             one capability, leaving a parent-provenance capability in \
-             the child's pages. With $(b,--capflow) the check must fail \
-             with exactly R4 at the fork window's closing edge.")
-  in
-  let chaos_heap_smuggle =
-    Arg.(
-      value & flag
-      & info [ "chaos-heap-smuggle" ]
-          ~doc:
-            "Fault injection: the next fork carries one parent capability \
-             across in an OCaml-heap cell — invisible to the tag scan and \
-             discharged from the static rule D13 — and raw-stores it into \
-             the child. Only the runtime side can catch it: with \
-             $(b,--capflow) the check must fail with exactly R4.")
-  in
-  let chaos_leak_root =
-    Arg.(
-      value & flag
-      & info [ "chaos-leak-root" ]
-          ~doc:
-            "Fault injection: a rogue boot thread stores the kernel's \
-             root capability into a running μprocess's GOT. With \
-             $(b,--capflow) the check must fail with exactly R4 (root \
-             provenance reachable from user pages).")
-  in
-  let run system experiment check_cores race chaos_no_bkl chaos_unshard
-      lockdep chaos_invert_shard_order capflow chaos_skip_rebase
-      chaos_heap_smuggle chaos_leak_root =
-    let module Checker = Ufork_analysis.Checker in
+  let run system experiment cores detect chaos =
+    let row =
+      match chaos with
+      | None -> None
+      | Some `List ->
+          print_table ();
+          exit 0
+      | Some (`Row c) -> Some c
+    in
+    let system, experiment, cores =
+      match row with
+      | None ->
+          ( Option.value system ~default:(E.Ufork Strategy.Copa),
+            Option.value experiment ~default:E.Hello,
+            cores )
+      | Some c ->
+          let s, w, n = c.E.control in
+          ( Option.value system ~default:s,
+            Option.value experiment ~default:w,
+            Some (Option.value cores ~default:n) )
+    in
+    let armed =
+      List.filter
+        (fun (inv, _, _) ->
+          List.mem inv detect
+          || Option.fold ~none:false ~some:(fun c -> c.E.expect = inv) row)
+        detectors
+    in
+    let name = E.workload_name experiment in
     (* Record the event stream even without a trace sink so the protocol
-       linter (L1-L5) has something to replay; the state sweep (S1-S10)
+       linter (L1-L5) has something to replay; the state sweep (S1-S11)
        and the cycle-accounting audit run at the end of every machine's
        run regardless. *)
-    E.set_record_always true;
-    E.set_race_detect race;
-    E.set_lockdep_detect lockdep;
-    E.set_chaos_no_bkl chaos_no_bkl;
-    E.set_chaos_unshard chaos_unshard;
-    E.set_chaos_invert_shard_order chaos_invert_shard_order;
-    E.set_capflow_detect capflow;
-    E.set_chaos_skip_rebase chaos_skip_rebase;
-    E.set_chaos_heap_smuggle chaos_heap_smuggle;
-    E.set_chaos_leak_root chaos_leak_root;
-    E.set_default_cores check_cores;
-    let name =
-      match experiment with
-      | `Hello -> "hello"
-      | `Redis -> "redis"
-      | `Unixbench -> "unixbench"
-      | `Storm -> "storm"
+    let r =
+      {
+        E.empty_run with
+        record = true;
+        cores;
+        detect;
+        chaos = Option.map (fun c -> c.E.name) row;
+      }
     in
-    (try
-       match experiment with
-       | `Hello -> ignore (E.hello_run system)
-       | `Redis ->
-           ignore
-             (E.redis_run system ~entries:50 ~value_len:(100 * 1024)
-                ~db_label:"5 MB")
-       | `Unixbench ->
-           ignore (E.unixbench_run system ~spawn_iters:50 ~context1_iters:500)
-       | `Storm ->
-           let cores = Option.value check_cores ~default:4 in
-           ignore (E.fork_storm_run system ~cores ~iters:4 ())
-     with
-    | Checker.Unsafe report ->
+    match E.with_run r (fun () -> E.check system experiment) with
+    | Error report ->
         Printf.eprintf "check %s on %s: FAILED\n%s\n" name
           (E.system_label system) report;
         exit 1
-    | Ufork_sim.Trace.Audit_failure msg ->
-        Printf.eprintf "check %s on %s: accounting audit FAILED: %s\n" name
-          (E.system_label system) msg;
-        exit 1);
-    Printf.printf
-      "check %s on %s: clean — state invariants S1-S11, protocol rules \
-       L1-L5%s%s%s, cycle accounting\n"
-      name (E.system_label system)
-      (if race then ", race detection R1" else "")
-      (if lockdep then ", lock-order R2" else "")
-      (if capflow then ", cap-provenance R4" else "")
+    | Ok () ->
+        Printf.printf
+          "check %s on %s: clean — state invariants S1-S11, protocol rules \
+           L1-L5%s, cycle accounting\n"
+          name (E.system_label system)
+          (String.concat ""
+             (List.map
+                (fun (inv, _, _) ->
+                  Printf.sprintf ", %s %s" (Invariant.name inv)
+                    (Invariant.id inv))
+                armed))
   in
   Cmd.v
     (Cmd.info "check"
        ~doc:
          "Run a workload under the machine-state sanitizer and trace \
           protocol linter; non-zero exit on any violation")
-    Term.(
-      const run $ system_arg $ experiment $ check_cores $ race $ chaos_no_bkl
-      $ chaos_unshard $ lockdep $ chaos_invert_shard_order $ capflow
-      $ chaos_skip_rebase $ chaos_heap_smuggle $ chaos_leak_root)
+    Term.(const run $ system $ experiment $ cores $ detect $ chaos)
 
 (* explain: run a workload with the causal collector armed, then compute
    and report the critical path of a fork window (or any interval) —
@@ -495,38 +468,18 @@ let check_cmd =
    waits it crossed. *)
 let explain_cmd =
   let module Causal = Ufork_analysis.Causal in
-  let module Invariant = Ufork_analysis.Invariant in
-  let experiment =
-    Arg.(
-      value
-      & pos 0
-          (enum
-             [
-               ("hello", `Hello); ("redis", `Redis);
-               ("unixbench", `Unixbench); ("storm", `Storm);
-             ])
-          `Redis
-      & info [] ~docv:"EXPERIMENT"
-          ~doc:
-            "Workload to explain: redis (default), hello, unixbench, or \
-             storm (one concurrent forker per core).")
-  in
+  let experiment = workload_arg ~verb:"explain" ~default:"redis" in
   let cores =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "cores" ] ~docv:"N"
-          ~doc:"Core count to boot with (default: the workload's own).")
+    cores_arg ~doc:"Core count to boot with (default: the workload's own)."
   in
   let fork_n =
     Arg.(
-      value
-      & opt (some int) None
+      value & opt int 0
       & info [ "fork" ] ~docv:"N"
           ~doc:
             "Analyze the $(docv)th completed fork window (\"fork\" span \
-             open to close, anchored at the forker). Default 0 unless \
-             $(b,--interval) or $(b,--chaos-stall-shard) is given.")
+             open to close, anchored at the forker). Default 0; ignored \
+             with $(b,--interval).")
   in
   let interval =
     let interval_conv =
@@ -581,46 +534,16 @@ let explain_cmd =
             "Write the critical path as a Chrome about:tracing / \
              Perfetto JSON file to $(docv).")
   in
-  let chaos_stall =
-    Arg.(
-      value & flag
-      & info [ "chaos-stall-shard" ]
-          ~doc:
-            "Fault injection: a rogue boot thread holds page-table shard \
-             0 across a long sleep. The analysis (whole run by default) \
-             must then report that lock as the dominant critical-path \
-             edge and the command exits non-zero with R3 — the control \
-             certifying the analyzer is live.")
-  in
   let run system experiment cores fork_n interval top dot_out json_out
-      chrome_out chaos_stall =
-    let module Checker = Ufork_analysis.Checker in
-    E.set_causal_trace true;
-    E.set_chaos_stall_shard chaos_stall;
-    E.set_default_cores cores;
-    Fun.protect
-      ~finally:(fun () ->
-        E.set_causal_trace false;
-        E.set_chaos_stall_shard false;
-        E.set_default_cores None)
-      (fun () ->
-        (try
-           match experiment with
-           | `Hello -> ignore (E.hello_run system)
-           | `Redis ->
-               ignore
-                 (E.redis_run system ~entries:50 ~value_len:(100 * 1024)
-                    ~db_label:"5 MB")
-           | `Unixbench ->
-               ignore
-                 (E.unixbench_run system ~spawn_iters:50 ~context1_iters:500)
-           | `Storm ->
-               let cores = Option.value cores ~default:4 in
-               ignore (E.fork_storm_run system ~cores ~iters:4 ())
-         with Checker.Unsafe report ->
-           Printf.eprintf "explain: workload failed its safety check\n%s\n"
-             report;
-           exit 1);
+      chrome_out =
+    let r = { E.empty_run with causal = true; cores } in
+    E.with_run r (fun () ->
+        (match E.check system (Option.value experiment ~default:E.Redis) with
+        | Ok () -> ()
+        | Error report ->
+            Printf.eprintf "explain: workload failed its safety check\n%s\n"
+              report;
+            exit 1);
         let g =
           match E.causal_graph () with
           | Some g -> g
@@ -630,14 +553,9 @@ let explain_cmd =
         in
         let report =
           try
-            match (interval, fork_n, chaos_stall) with
-            | Some (a, b), _, _ -> Causal.analyze g ~t0:a ~t1:b ()
-            | None, Some n, _ -> Causal.analyze_fork g n
-            | None, None, true ->
-                (* Whole run: the injected stall must dominate no matter
-                   where the fork windows sit. *)
-                Causal.analyze g ~t0:0L ~t1:(Causal.horizon g) ()
-            | None, None, false -> Causal.analyze_fork g 0
+            match interval with
+            | Some (a, b) -> Causal.analyze g ~t0:a ~t1:b ()
+            | None -> Causal.analyze_fork g fork_n
           with
           | Causal.Audit_failure msg ->
               Printf.eprintf "explain: path audit FAILED: %s\n" msg;
@@ -664,36 +582,7 @@ let explain_cmd =
             E.write_artifact path (fun oc ->
                 output_string oc (Causal.to_chrome report));
             Printf.printf "chrome trace written to %s\n" path)
-          chrome_out;
-        if chaos_stall then begin
-          let wall = Int64.sub report.Causal.r_t1 report.Causal.r_t0 in
-          match Causal.dominant_lock report with
-          | Some (lock, cycles)
-            when Int64.compare wall 0L > 0
-                 && Int64.to_float cycles /. Int64.to_float wall >= 0.2 ->
-              let v =
-                {
-                  Invariant.invariant = Invariant.Lock_stall;
-                  subject = lock;
-                  detail =
-                    Printf.sprintf
-                      "wait edges on %s account for %Ld of %Ld \
-                       critical-path cycles (%.1f%%) — a single lock \
-                       dominates the path"
-                      lock cycles wall
-                      (100. *. Int64.to_float cycles /. Int64.to_float wall);
-                }
-              in
-              Printf.eprintf "explain: FAILED\n%s\n"
-                (Invariant.report [ v ]);
-              exit 1
-          | Some _ | None ->
-              (* The injection did not surface: a broken analyzer. CI
-                 runs this as a must-fail control, so a clean exit here
-                 is the caught regression. *)
-              Printf.printf
-                "chaos stall injected but no dominant wait edge found\n"
-        end)
+          chrome_out)
   in
   Cmd.v
     (Cmd.info "explain"
@@ -704,7 +593,7 @@ let explain_cmd =
           wait chains")
     Term.(
       const run $ system_arg $ experiment $ cores $ fork_n $ interval $ top
-      $ dot_out $ json_out $ chrome_out $ chaos_stall)
+      $ dot_out $ json_out $ chrome_out)
 
 (* profile: run an experiment with span attribution and print/export the
    folded-stack flamegraph plus per-span latency histograms. *)
@@ -720,13 +609,10 @@ let profile_cmd =
             "Write the folded flamegraph stacks to $(docv) instead of \
              stdout (feed to flamegraph.pl or inferno-flamegraph).")
   in
-  let experiment = small_experiment_arg ~verb:"profile" in
+  let experiment = workload_arg ~verb:"profile" ~default:"hello" in
   let run system flame_out experiment =
-    E.set_collect_profiles true;
-    Fun.protect
-      ~finally:(fun () -> E.set_collect_profiles false)
-      (fun () ->
-        run_small_experiment system experiment;
+    E.with_run { E.empty_run with profiles = true } (fun () ->
+        print_endline (run_observed system experiment);
         let traces = E.profiled_traces () in
         let folded =
           String.concat "" (List.map Trace.folded_stacks traces)
@@ -798,21 +684,21 @@ let stats_cmd =
             "Write the sampled time series as CSV to $(docv) (one block \
              per booted machine, blocks separated by a blank line).")
   in
-  let experiment = small_experiment_arg ~verb:"sample" in
+  let experiment = workload_arg ~verb:"sample" ~default:"hello" in
   let run system interval csv_out experiment =
     if interval <= 0 then begin
       Printf.eprintf "stats: --interval must be positive\n";
       exit 1
     end;
-    E.set_collect_profiles true;
-    E.set_sample_interval (Some (Int64.of_int interval));
     Ufork_sim.Sync.reset_lock_contention ();
-    Fun.protect
-      ~finally:(fun () ->
-        E.set_collect_profiles false;
-        E.set_sample_interval None)
+    E.with_run
+      {
+        E.empty_run with
+        profiles = true;
+        sample_interval = Some (Int64.of_int interval);
+      }
       (fun () ->
-        run_small_experiment system experiment;
+        print_endline (run_observed system experiment);
         let traces = E.profiled_traces () in
         print_newline ();
         List.iter (fun tr -> print_string (Trace.to_prometheus_string tr)) traces;

@@ -6,15 +6,14 @@
    for it — never the kernel root's authority and never a stale parent
    stamp left behind by a skipped relocation. The static mirror is lint
    rule D13 (tools/lint/capflow.ml); the two sides are cross-certified
-   by the --chaos-skip-rebase / --chaos-heap-smuggle / --chaos-leak-root
-   injections.
+   by the skip-rebase / heap-smuggle / leak-root chaos injections.
 
    Three probes, all disarmed to a single bool read:
    - a stream check over the Hb [Cap_store]/[Cap_load] events the MMU
      paths ({!Ufork_mem.Vas}) publish;
    - a fork-completion scan over the child's freshly forked pages
-     (hooked into {!Ufork_core.Fork_spine} by the workload layer);
-   - a sweep clause in {!Checker} (gated on {!armed}) covering pages
+     (hooked into the kernel's fork watch by the workload layer);
+   - a sweep clause in {!Checker} ([~provenance:true]) covering pages
      that were relocated lazily after the fork window closed. *)
 
 module Capability = Ufork_cheri.Capability
@@ -26,11 +25,6 @@ module Page_table = Ufork_mem.Page_table
 module Kernel = Ufork_sas.Kernel
 module Uproc = Ufork_sas.Uproc
 module Hb = Ufork_util.Hb
-
-(* Read by Checker.sweep: when set, a stored capability whose provenance
-   stamp does not match the area holding it is reported as R4 (instead
-   of the untyped S3/S10 wild-capability fallout it also causes). *)
-let armed = ref false
 
 let pp_prov ppf prov =
   if prov = Capability.root_provenance then

@@ -549,6 +549,31 @@ let dominant_lock r =
   | [] -> None
   | best :: _ -> Some best
 
+(* R3 over the whole run: a single lock whose wait edges cover at least
+   a fifth of the critical path is a stall, not ordinary contention. *)
+let stall_share = 0.2
+
+let lock_stall t =
+  let r = analyze t ~t0:0L ~t1:(horizon t) () in
+  let wall = Int64.sub r.r_t1 r.r_t0 in
+  match dominant_lock r with
+  | Some (lock, cycles)
+    when Int64.compare wall 0L > 0
+         && Int64.to_float cycles /. Int64.to_float wall >= stall_share ->
+      [
+        {
+          Invariant.invariant = Invariant.Lock_stall;
+          subject = lock;
+          detail =
+            Printf.sprintf
+              "wait edges on %s account for %Ld of %Ld critical-path cycles \
+               (%.1f%%) — a single lock dominates the path"
+              lock cycles wall
+              (100. *. Int64.to_float cycles /. Int64.to_float wall);
+        };
+      ]
+  | Some _ | None -> []
+
 (* {2 Exports} *)
 
 let pp_report ~top ppf r =

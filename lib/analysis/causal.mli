@@ -95,6 +95,11 @@ val dominant_lock : report -> (string * int64) option
 (** The lock whose wait chains on the critical path sum highest, with
     the summed cycles — the "why did this stall" headline. *)
 
+val lock_stall : t -> Invariant.violation list
+(** Invariant R3 over the whole run ([0, {!horizon}]): one violation
+    naming the {!dominant_lock} when its wait edges cover at least 20%
+    of the critical path, else [[]]. *)
+
 (** {1 Exports} *)
 
 val pp_report : top:int -> Format.formatter -> report -> unit

@@ -174,8 +174,6 @@ let handle t (ev : Hb.event) =
   | Hb.Span_open _ | Hb.Span_close _ | Hb.Cap_store _ | Hb.Cap_load _ ->
       ()
 
-let attach t = Hb.subscribe (handle t)
-let detach () = Hb.unsubscribe ()
 let events_seen t = t.events
 let violations t = List.rev t.violations_rev
 

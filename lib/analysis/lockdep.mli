@@ -19,16 +19,9 @@ type t
 
 val create : unit -> t
 
-val attach : t -> unit
-(** Claim the {!Ufork_util.Hb} bus (single-subscriber: this replaces any
-    other listener — use {!handle} from a dispatching closure to run
-    beside the race detector). *)
-
 val handle : t -> Ufork_util.Hb.event -> unit
-(** Feed one bus event directly. *)
-
-val detach : unit -> unit
-(** Release the bus (idempotent). *)
+(** Feed one bus event; [Hb.subscribe (handle d)] arms the checker
+    beside any other subscriber. *)
 
 val violations : t -> Invariant.violation list
 (** Every R2 violation, oldest first; at most one per ordered pair of

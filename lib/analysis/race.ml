@@ -143,8 +143,6 @@ let handle t (ev : Hb.event) =
 let races t = List.rev t.races
 let events_seen t = t.events
 
-let attach t = Hb.subscribe (handle t)
-let detach () = Hb.unsubscribe ()
 
 (* Race reports name the locks each side held (via the {!Hb} lock-name
    registry, e.g. [lock.stats]): "both held X" vs "neither held

@@ -12,7 +12,7 @@
     [kref]/[atomic_t] discipline), which cannot data-race and which
     synchronize with each other.
 
-    One detector is active at a time ({!attach} claims the bus); the
+    Subscribe {!handle} on the {!Ufork_util.Hb} bus to arm it; the
     disarmed bus costs a single branch per instrumentation point and
     perturbs neither scheduling nor golden accounting. *)
 
@@ -35,18 +35,9 @@ type race = {
 
 val create : unit -> t
 
-val attach : t -> unit
-(** Claim the {!Ufork_util.Hb} bus: from here every instrumentation
-    event feeds this detector. *)
-
 val handle : t -> Ufork_util.Hb.event -> unit
-(** Feed one bus event directly. The bus carries a single subscriber, so
-    a front end that arms this detector {e and} the lock-order checker
-    ({!Lockdep}) installs one closure that dispatches to both [handle]s
-    instead of calling {!attach}. *)
-
-val detach : unit -> unit
-(** Release the bus (idempotent). *)
+(** Feed one bus event; [Hb.subscribe (handle d)] arms the detector
+    beside any other subscriber. *)
 
 val races : t -> race list
 (** Every detected race, oldest first; at most one per location. *)

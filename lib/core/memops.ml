@@ -106,6 +106,8 @@ let copy_range k ~(parent : Uproc.t) ~(child : Uproc.t) ~delta_pages ~mode
               in
               scanned := !scanned + outcome.Relocate.granules_scanned;
               relocated := !relocated + outcome.Relocate.relocated;
+              (Kernel.fork_watch k).page_relocated ~child
+                ~src:(Phys.page ppte.Pte.frame) ~dst:(Phys.page fresh);
               restore_perms child ~vpn:cvpn cpte)
         pvpns frames;
       (match mode with

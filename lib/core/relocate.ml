@@ -4,13 +4,6 @@ module Addr = Ufork_mem.Addr
 
 type outcome = { granules_scanned : int; relocated : int }
 
-(* Chaos: silently skip the rebase of exactly one capability (leaving its
-   parent provenance and parent-area target intact in the child page), so
-   the runtime capflow invariant R4 — not the architectural checks — must
-   be what catches the leak. One-shot: armed by the CLI, consumed by the
-   first rebase the next fork performs. *)
-let chaos_skip_rebase = ref false
-
 let relocate_cap ~owner_area ~child_base ~child_bytes cap =
   let in_child a = a >= child_base && a < child_base + child_bytes in
   if not (Capability.tag cap) then cap
@@ -22,14 +15,9 @@ let relocate_cap ~owner_area ~child_base ~child_bytes cap =
   else
     match owner_area (Capability.cursor cap) with
     | Some (src_base, _src_bytes) ->
-        if !chaos_skip_rebase then begin
-          chaos_skip_rebase := false;
-          cap
-        end
-        else
-          Capability.stamp
-            (Capability.rebase cap ~delta:(child_base - src_base))
-            ~prov:child_base
+        Capability.stamp
+          (Capability.rebase cap ~delta:(child_base - src_base))
+          ~prov:child_base
     | None ->
         (* No identifiable source μprocess: never leak the authority. *)
         Capability.clear_tag cap

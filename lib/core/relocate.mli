@@ -12,12 +12,6 @@ type outcome = {
   relocated : int;  (** Tagged capabilities rewritten. *)
 }
 
-val chaos_skip_rebase : bool ref
-(** Chaos (capflow cross-certification): when set, the next capability
-    that would be rebased is instead left untouched — parent target,
-    parent provenance — and the flag self-clears. The runtime R4 taint
-    invariant, not any architectural check, must catch the leak. *)
-
 val relocate_cap :
   owner_area:(int -> (int * int) option) ->
   child_base:int ->

@@ -63,6 +63,23 @@ type locks =
           (** page-table shards, indexed by μprocess area base *)
     }
 
+(* Observation points on the fork path, for harness instrumentation
+   (invariant probes, fault injections). Called by the fork spine and the
+   eager copy path with no cycles charged; the default is all no-ops. *)
+type fork_watch = {
+  fork_begin : parent:Uproc.t -> unit;
+  page_relocated :
+    child:Uproc.t -> src:Ufork_mem.Page.t -> dst:Ufork_mem.Page.t -> unit;
+  fork_end : child:Uproc.t -> unit;
+}
+
+let no_fork_watch =
+  {
+    fork_begin = (fun ~parent:_ -> ());
+    page_relocated = (fun ~child:_ ~src:_ ~dst:_ -> ());
+    fork_end = (fun ~child:_ -> ());
+  }
+
 type t = {
   engine : Engine.t;
   costs : Costs.t;
@@ -81,6 +98,7 @@ type t = {
   mutable free_areas : (int * int) list; (* (base, bytes) of reaped areas *)
   mutable fork_hook : (Uproc.t -> (Api.t -> unit) -> int) option;
   mutable fault_hook : (Uproc.t -> addr:int -> access:Vas.access -> unit) option;
+  mutable fork_watch : fork_watch;
   mutable areas : (int * int) list Area_index.t;
       (* base → (bytes, pid) entries, live+zombie, newest first *)
   shms : (string, Phys.frame array) Hashtbl.t; (* named shared memory *)
@@ -144,6 +162,7 @@ let create ~engine ~costs ~config ~multi_address_space () =
     free_areas = [];
     fork_hook = None;
     fault_hook = None;
+    fork_watch = no_fork_watch;
     areas = Area_index.empty;
     shms = Hashtbl.create 8;
     libs = Hashtbl.create 8;
@@ -176,6 +195,26 @@ let multi_address_space t = t.multi_as
 let root_cap t = t.root
 let set_fork_hook t f = t.fork_hook <- Some f
 let set_fault_hook t f = t.fault_hook <- Some f
+let fork_watch t = t.fork_watch
+
+(* Watches compose: each new one runs after those already installed. *)
+let watch_forks t w =
+  let prev = t.fork_watch in
+  t.fork_watch <-
+    {
+      fork_begin =
+        (fun ~parent ->
+          prev.fork_begin ~parent;
+          w.fork_begin ~parent);
+      page_relocated =
+        (fun ~child ~src ~dst ->
+          prev.page_relocated ~child ~src ~dst;
+          w.page_relocated ~child ~src ~dst);
+      fork_end =
+        (fun ~child ->
+          prev.fork_end ~child;
+          w.fork_end ~child);
+    }
 
 (* The legacy big-lock shim: under [Big] this is THE serialization point
    (held for every syscall body); under sharded locking it is a no-op —

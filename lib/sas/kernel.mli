@@ -64,6 +64,30 @@ val set_fault_hook :
 (** Resolve an MMU fault (CoW/CoA/CoPA copy, …) so the access can retry.
     Must raise if the fault is not resolvable (a real crash). *)
 
+(** {1 Fork observation} *)
+
+type fork_watch = {
+  fork_begin : parent:Uproc.t -> unit;
+      (** A fork started; the child does not exist yet. *)
+  page_relocated :
+    child:Uproc.t -> src:Ufork_mem.Page.t -> dst:Ufork_mem.Page.t -> unit;
+      (** The eager copy path copied parent page [src] into the child's
+          [dst] and ran the §4.2 tag scan over [dst]. *)
+  fork_end : child:Uproc.t -> unit;
+      (** The fork window closed; the parent has not resumed yet. *)
+}
+(** Per-machine observation points on the fork path, for invariant
+    probes and fault injections. They charge no cycles. *)
+
+val no_fork_watch : fork_watch
+(** All no-ops: the watch every kernel boots with. *)
+
+val fork_watch : t -> fork_watch
+(** The installed watch, called by the fork path. *)
+
+val watch_forks : t -> fork_watch -> unit
+(** Add a watch; it runs after every watch already installed. *)
+
 (** {1 Processes} *)
 
 val create_uproc :

@@ -2,8 +2,9 @@
 
    The concurrency layer (engine, locks), the memory kit (frame pool,
    page tables) and the gauge surface publish ordering edges and
-   shared-state mutations here; the dynamic race detector in
-   lib/analysis subscribes for the duration of a checked run. With no
+   shared-state mutations here; the analyzers in lib/analysis (race,
+   lockdep, causal, capflow) subscribe side by side for the duration of
+   a checked run. With no
    subscriber the publishers pay one mutable-bool read and build no
    values, so production runs and the golden accounting are untouched.
 
@@ -60,10 +61,12 @@ type event =
    simulated thread (boot, direct poking from unit tests) it returns a
    negative tid, which subscribers treat as "not a concurrent context".
    [enabled] is the only state the hot paths touch when no detector is
-   armed. *)
+   armed. Subscribers are delivered to in subscription order. *)
+
+type subscription = { deliver : event -> unit }
 
 let enabled = ref false
-let listener : (event -> unit) ref = ref ignore
+let listeners : subscription list ref = ref []
 let tid_provider : (unit -> int) ref = ref (fun () -> -1)
 let core_provider : (unit -> int) ref = ref (fun () -> -1)
 
@@ -97,15 +100,17 @@ let pp_lock ppf id =
   | Some name -> Format.fprintf ppf "%s (lock %d)" name id
   | None -> Format.fprintf ppf "lock %d" id
 
-let subscribe f =
-  listener := f;
-  enabled := true
+let subscribe deliver =
+  let s = { deliver } in
+  listeners := !listeners @ [ s ];
+  enabled := true;
+  s
 
-let unsubscribe () =
-  enabled := false;
-  listener := ignore
+let unsubscribe s =
+  listeners := List.filter (fun s' -> s' != s) !listeners;
+  enabled := !listeners <> []
 
-let emit ev = if !enabled then !listener ev
+let emit ev = if !enabled then List.iter (fun s -> s.deliver ev) !listeners
 
 let pp_loc ppf = function
   | Frame fid -> Format.fprintf ppf "frame %d" fid

@@ -2,7 +2,7 @@
 
     Publishers (the simulation engine, locks, the frame pool, page
     tables, the gauge surface) report ordering edges and shared-state
-    mutations; a dynamic race detector subscribes for the duration of a
+    mutations; any number of analyzers subscribe for the duration of a
     checked run. With no subscriber the publishers pay a single bool
     read and allocate nothing, so golden accounting is untouched.
 
@@ -70,14 +70,17 @@ val on : unit -> bool
 (** True while a subscriber is armed. Publishers guard event
     construction behind this so the off state allocates nothing. *)
 
-val subscribe : (event -> unit) -> unit
-(** Arm the bus. One subscriber at a time; a second [subscribe]
-    replaces the first. *)
+type subscription
 
-val unsubscribe : unit -> unit
+val subscribe : (event -> unit) -> subscription
+(** Add a listener and arm the bus. Listeners stack: every subscriber
+    sees every event, in subscription order. *)
+
+val unsubscribe : subscription -> unit
+(** Remove one listener; the bus disarms when the last one leaves. *)
 
 val emit : event -> unit
-(** Deliver to the subscriber, if armed. Call under [if on () then ...]
-    when building the event allocates. *)
+(** Deliver to every subscriber, if armed. Call under
+    [if on () then ...] when building the event allocates. *)
 
 val pp_loc : Format.formatter -> loc -> unit

@@ -27,8 +27,13 @@ module Lockdep = Ufork_analysis.Lockdep
 module Causal = Ufork_analysis.Causal
 module Capflow = Ufork_analysis.Capflow
 module Invariant = Ufork_analysis.Invariant
-module Relocate = Ufork_core.Relocate
-module Fork_spine = Ufork_core.Fork_spine
+module Capability = Ufork_cheri.Capability
+module Addr = Ufork_mem.Addr
+module Page = Ufork_mem.Page
+module Phys = Ufork_mem.Phys
+module Pte = Ufork_mem.Pte
+module Page_table = Ufork_mem.Page_table
+module Hb = Ufork_util.Hb
 
 type system =
   | Ufork of Strategy.t
@@ -44,168 +49,256 @@ let system_label = function
   | Nephele -> "Nephele"
   | Linux_ref -> "Linux (ref)"
 
-(* A booted system behind a uniform interface. *)
+(* A booted system behind a uniform interface, plus what its end-of-run
+   check needs from the detectors armed at boot. *)
 type booted = {
   kernel : Kernel.t;
   engine : Engine.t;
   start :
     ?affinity:int -> image:Image.t -> (Api.t -> unit) -> Uproc.t;
   run : ?until:int64 -> unit -> unit;
+  provenance : bool;  (* capflow armed: the sweep reports R4 *)
+  violations : unit -> Invariant.violation list;  (* armed detectors *)
 }
 
-(* {1 Harness-wide run options}
+(* {1 The run value}
 
-   The bench/CLI front ends set these once from their flags; every
-   subsequent [boot] picks them up, so one [--cores]/[--trace-out] applies
-   uniformly across the systems an experiment compares. *)
-
-let default_cores : int option ref = ref None
-let set_default_cores n = default_cores := n
+   Front ends and tests describe a run once as a [run] record and
+   install it with [with_run]; every [boot] inside reads it, so one
+   [--cores]/[--trace-out] applies uniformly across the systems an
+   experiment compares. *)
 
 type trace_format = Jsonl | Chrome
 
-let trace_sink : (string * trace_format) option ref = ref None
+type run = {
+  cores : int option;
+  record : bool;
+  trace_out : (string * trace_format) option;
+  profile_out : string option;
+  profiles : bool;
+  sample_interval : int64 option;
+  detect : Invariant.t list;
+  causal : bool;
+  chaos : string option;
+}
 
-(* Traces of every machine booted since the sink was set, oldest first —
-   a comparative experiment boots several systems and the output file
-   should hold them all. *)
-let traced : Trace.t list ref = ref []
+let empty_run =
+  {
+    cores = None;
+    record = false;
+    trace_out = None;
+    profile_out = None;
+    profiles = false;
+    sample_interval = None;
+    detect = [];
+    causal = false;
+    chaos = None;
+  }
 
-(* Drop count already reported on stderr, so a flush after every run
-   warns once per overflow rather than once per subsequent flush. *)
-let warned_dropped = ref 0
+(* What an installed run collects. Nested [with_run]s share it, so a
+   sink keeps every machine booted under the outermost run: traces
+   oldest first, the latest causal collector, and the bus subscriptions
+   of the machine currently armed. *)
+type collected = {
+  mutable traced : Trace.t list;
+  mutable warned_dropped : int;
+      (* drop count already reported, so each overflow warns once *)
+  mutable profiled : Trace.t list;
+  mutable graph : Causal.t option;
+  mutable subscriptions : Hb.subscription list;
+}
 
-let set_trace_out ?(format = Jsonl) path =
-  trace_sink := Option.map (fun p -> (p, format)) path;
-  traced := [];
-  warned_dropped := 0
+let installed : (run * collected) option ref = ref None
 
-(* Force event recording on every machine booted from here on, even with
-   no trace sink — the [check] front end needs the stream for the
-   protocol linter. *)
-let record_always = ref false
-let set_record_always on = record_always := on
+let current_run () =
+  match !installed with Some (r, _) -> r | None -> empty_run
 
-(* {2 Profiling options}
+(* No write when there is nothing to drop: unarmed boots under [parmap]
+   read this record from several domains at once. *)
+let drop_subscriptions c =
+  match c.subscriptions with
+  | [] -> ()
+  | subs ->
+      List.iter Hb.unsubscribe subs;
+      c.subscriptions <- []
 
-   [profile_sink] mirrors [trace_sink] for folded flamegraph stacks;
-   [collect_profiles] keeps the trace registry populated without any
-   file output so front ends (the [profile]/[stats] subcommands) can
-   read span aggregates and histograms back after a run. *)
+let with_run r f =
+  let outer = !installed in
+  let c =
+    match outer with
+    | Some (_, c) -> c
+    | None ->
+        {
+          traced = [];
+          warned_dropped = 0;
+          profiled = [];
+          graph = None;
+          subscriptions = [];
+        }
+  in
+  installed := Some (r, c);
+  Fun.protect f ~finally:(fun () ->
+      installed := outer;
+      if Option.is_none outer then drop_subscriptions c)
 
-let profile_sink : string option ref = ref None
-let collect_profiles = ref false
+let collected_or default f =
+  match !installed with Some (_, c) -> f c | None -> default
 
-(* Traces of every machine booted since a profile consumer was armed,
-   oldest first. *)
-let profiled : Trace.t list ref = ref []
+let profiled_traces () = collected_or [] (fun c -> c.profiled)
+let causal_graph () = collected_or None (fun c -> c.graph)
 
-let set_profile_out path =
-  profile_sink := path;
-  profiled := []
+(* {2 Workloads}
 
-let set_collect_profiles on =
-  collect_profiles := on;
-  profiled := []
+   The small runs every observer front end shares ([check], [explain],
+   [trace], [profile], [stats]) and the chaos controls name. *)
 
-let profiled_traces () = !profiled
+type workload = Hello | Redis | Unixbench | Storm
 
-(* Stat-sampling interval in simulated cycles; applied to every machine
-   booted while set. *)
-let sample_interval : int64 option ref = ref None
-let set_sample_interval i = sample_interval := i
+let workloads =
+  [ ("hello", Hello); ("redis", Redis); ("unixbench", Unixbench); ("storm", Storm) ]
 
-(* {2 Race and lock-order detection}
+let workload_name w = fst (List.find (fun (_, w') -> w' = w) workloads)
 
-   With [race_detect] set, every boot arms a fresh happens-before
-   detector on the instrumentation bus and [finish_run] raises
-   {!Checker.Unsafe} if any conflicting unordered writes were seen.
-   [lockdep_detect] does the same for the lock-acquisition-order checker
-   (invariant R2); the bus carries one subscriber, so when both are
-   armed a single closure dispatches each event to both.
-   [chaos_no_bkl] is the matching fault injection for the race side:
-   boot with the big kernel lock disabled and spawn one rogue thread
-   that performs a deliberate unlocked write to shared state mid-run.
-   [chaos_invert_shard_order] is the lockdep counterpart: a rogue boot
-   thread takes one pt-shard pair in descending index order. *)
+(* {2 The chaos table}
 
-let race_detect = ref false
-let set_race_detect on = race_detect := on
-let lockdep_detect = ref false
-let set_lockdep_detect on = lockdep_detect := on
-let chaos_no_bkl = ref false
-let set_chaos_no_bkl on = chaos_no_bkl := on
-let chaos_unshard = ref false
-let set_chaos_unshard on = chaos_unshard := on
-let chaos_invert_shard_order = ref false
-let set_chaos_invert_shard_order on = chaos_invert_shard_order := on
-let race_detector : Race.t option ref = ref None
-let lockdep_checker : Lockdep.t option ref = ref None
+   One row per fault injection. [arm] runs on the freshly booted
+   machine; the row's [expect] invariant names the detector [boot] arms
+   alongside it, so a chaos run can never pass for want of a detector.
+   [control] is the (system, workload, cores) run that must fail with
+   exactly [expect] — and pass without the injection. *)
 
-(* {2 Causal tracing}
+type chaos = {
+  name : string;
+  expect : Invariant.t;
+  subject : string option;
+  doc : string;
+  control : system * workload * int;
+  arm : Kernel.t -> unit;
+}
 
-   With [causal_trace] set, every boot arms a fresh causal collector
-   ({!Causal}) on the same bus subscription; the front end reads it back
-   through [causal_graph] after the run for critical-path analysis.
-   [chaos_stall_shard] is its fault injection: a rogue boot thread
-   holds pt-shard 0 across a long sleep, and the analysis must report
-   that lock as the dominant critical-path edge (R3). *)
+let spawn_rogue k name f = ignore (Engine.spawn (Kernel.engine k) ~name f)
 
-let causal_trace = ref false
-let set_causal_trace on = causal_trace := on
-let chaos_stall = ref false
-let set_chaos_stall_shard on = chaos_stall := on
-let causal_collector : Causal.t option ref = ref None
-let causal_graph () = !causal_collector
+(* A rogue thread retries until a process is running, then plants the
+   kernel root in its GOT. *)
+let leak_root k =
+  spawn_rogue k "chaos-leak-root" (fun () ->
+      let rec attempt budget =
+        Engine.sleep 500L;
+        if (not (Kernel.chaos_leak_root k)) && budget > 0 then
+          attempt (budget - 1)
+      in
+      attempt 100)
 
-(* {2 Capability-provenance (capflow) checking}
+(* The first relocated page of the first eager fork copy gets one
+   rebased capability put back as the parent had it: parent target,
+   parent provenance — a skipped §4.2 rebase. *)
+let skip_rebase k =
+  let pending = ref true in
+  Kernel.watch_forks k
+    {
+      Kernel.no_fork_watch with
+      page_relocated =
+        (fun ~child:_ ~src ~dst ->
+          Page.iter_caps src (fun g cap ->
+              let off = g * Addr.granule_size in
+              let moved = Page.load_cap dst ~off in
+              if
+                !pending && Capability.tag moved
+                && not (Capability.equal cap moved)
+              then begin
+                pending := false;
+                Page.store_cap dst ~off cap
+              end));
+    }
 
-   With [capflow_detect] set, every boot arms the R4 taint machinery:
-   the Capflow stream detector on the bus subscription, the
-   fork-completion scan through {!Fork_spine.fork_probe}, and the
-   provenance clause of {!Checker.sweep} (via [Capflow.armed]).
-   Three chaos injections cross-certify it against the static rule D13:
-   [chaos_skip_rebase] leaves one capability un-rebased in the fork
-   copy, [chaos_heap_smuggle] carries a parent capability across the
-   fork in an OCaml-heap cell invisible to the tag scan, and
-   [chaos_leak_root] hands the kernel root to a μprocess. Each must
-   fail the run with exactly R4. *)
+(* Carry one parent capability across the next fork in an OCaml-heap
+   cell — the shadow copy the tag scan can never see — and raw-store it
+   into the child's meta page once the fork window closes, bypassing
+   the MMU publication path. The stash is exactly the D13 escape
+   pattern, discharged because being invisible to the static side is
+   the point: only the runtime R4 fork scan can catch it. *)
+let heap_smuggle k =
+  let armed = ref true and stash = ref None in
+  Kernel.watch_forks k
+    {
+      Kernel.no_fork_watch with
+      fork_begin =
+        (fun ~parent ->
+          if !armed then
+            stash :=
+              Some
+                (Capability.with_cursor (Kernel.area_cap k parent)
+                   parent.Uproc.area_base));
+      fork_end =
+        (fun ~child ->
+          match !stash with
+          | None -> ()
+          | Some cap -> (
+              armed := false;
+              stash := None;
+              let addr = Kernel.meta_addr child 0 in
+              match
+                Page_table.lookup child.Uproc.pt ~vpn:(Addr.vpn_of_addr addr)
+              with
+              | Some pte ->
+                  Page.store_cap (Phys.page pte.Pte.frame)
+                    ~off:(Addr.page_offset addr) cap
+              | None -> ()));
+    }
+[@@ufork.cap_escape_ok]
 
-let capflow_detect = ref false
-let set_capflow_detect on = capflow_detect := on
-let chaos_skip_rebase = ref false
-let set_chaos_skip_rebase on = chaos_skip_rebase := on
-let chaos_heap_smuggle = ref false
-let set_chaos_heap_smuggle on = chaos_heap_smuggle := on
-let chaos_leak_root = ref false
-let set_chaos_leak_root on = chaos_leak_root := on
-let capflow_detector : Capflow.t option ref = ref None
+let chaos_table =
+  let row ?subject name expect control doc arm =
+    { name; expect; subject; doc; control; arm }
+  in
+  let copa = Ufork Strategy.Copa in
+  [
+    row "no-bkl" Invariant.Data_race (copa, Hello, 4)
+      "drop every kernel lock and seed one unlocked write to the \
+       fork-latency gauge" (fun k ->
+        Kernel.chaos_disable_biglock k;
+        spawn_rogue k "chaos-unlocked" (fun () ->
+            Engine.sleep 1_000L;
+            Trace.gauge (Kernel.trace k) Trace.last_fork_latency_key 0));
+    row "unshard" Invariant.Data_race (copa, Storm, 64)
+      "disable only the stats shard; the storm's own fork-latency gauge \
+       writes must race"
+      Kernel.chaos_unshard_stats;
+    row "invert-shard-order" Invariant.Lock_order (copa, Storm, 64)
+      "a rogue thread takes a pt-shard pair in descending index order"
+      (fun k ->
+        spawn_rogue k "chaos-shard-invert" (fun () ->
+            Kernel.chaos_acquire_shards_descending k));
+    row "stall-shard" Invariant.Lock_stall (copa, Hello, 4)
+      ~subject:"lock.pt_shard.00"
+      "a rogue thread holds pt-shard 0 across a long sleep" (fun k ->
+        spawn_rogue k "chaos-stall-shard" (fun () ->
+            Kernel.chaos_stall_shard k));
+    row "skip-rebase" Invariant.Cap_provenance (copa, Storm, 4)
+      "the first fork leaves one capability un-rebased in the child"
+      skip_rebase;
+    row "heap-smuggle" Invariant.Cap_provenance (copa, Storm, 4)
+      "the first fork carries a parent capability across in an OCaml-heap \
+       cell and plants it in the child"
+      heap_smuggle;
+    row "leak-root" Invariant.Cap_provenance (Cheribsd, Storm, 4)
+      "a rogue thread stores the kernel root into a process's GOT"
+      leak_root;
+  ]
+
+let find_chaos name = List.find_opt (fun c -> c.name = name) chaos_table
 
 (* {2 Domain-parallel sweeps}
 
    [parmap] fans one experiment per sweep point out over OCaml domains.
    Every machine is self-contained (engine, kernel, trace, meter), so
    points never exchange simulated state and each point's result is the
-   same bit pattern the serial order produces; only the process-global
-   registries above are shared, and every write to them is mutexed.
-   Whenever any harness option that funnels per-run state through those
-   registries is armed (trace/profile sinks, sampling, detectors, chaos),
-   the fan-out silently degrades to serial — those paths want one
-   machine at a time, and their cost dwarfs any sweep parallelism. *)
+   same bit pattern the serial order produces. A run that records,
+   samples, arms a detector or injects chaos funnels per-machine state
+   through the collection above, so it runs serially — those paths want
+   one machine at a time, and their cost dwarfs any sweep parallelism. *)
 
-let registry_mutex = Mutex.create ()
-
-let parallel_unsafe () =
-  !record_always
-  || Option.is_some !trace_sink
-  || Option.is_some !profile_sink
-  || !collect_profiles
-  || Option.is_some !sample_interval
-  || !race_detect || !lockdep_detect || !chaos_no_bkl || !chaos_unshard
-  || !chaos_invert_shard_order
-  || !causal_trace || !chaos_stall
-  || !capflow_detect || !chaos_skip_rebase || !chaos_heap_smuggle
-  || !chaos_leak_root
+let parallel_unsafe () = { (current_run ()) with cores = None } <> empty_run
 
 let parmap ~jobs f items =
   let jobs = if parallel_unsafe () then 1 else max 1 jobs in
@@ -247,17 +340,11 @@ let emits_acc = Atomic.make 0
 let reset_emits () = Atomic.set emits_acc 0
 let emits_total () = Atomic.get emits_acc
 
-let register_trace tr =
-  if !record_always then Trace.set_recording tr true;
-  if Option.is_some !trace_sink then begin
-    Trace.set_recording tr true;
-    Mutex.protect registry_mutex (fun () -> traced := !traced @ [ tr ])
-  end;
-  if !collect_profiles || Option.is_some !profile_sink then
-    Mutex.protect registry_mutex (fun () -> profiled := !profiled @ [ tr ])
-
-let traced_dropped () =
-  List.fold_left (fun acc tr -> acc + Trace.dropped tr) 0 !traced
+let register_trace r c tr =
+  if r.record || Option.is_some r.trace_out then Trace.set_recording tr true;
+  if Option.is_some r.trace_out then c.traced <- c.traced @ [ tr ];
+  if r.profiles || Option.is_some r.profile_out then
+    c.profiled <- c.profiled @ [ tr ]
 
 (* Artifact writes create missing parents and turn filesystem failures
    into a clean one-line error — the harness front ends (CLI, bench)
@@ -269,10 +356,10 @@ let write_artifact path f =
       Printf.eprintf "error: %s\n%!" msg;
       exit 1
 
-(* Rewrite the sink from all traces so far; called after every run so the
-   file is complete whenever the harness stops. *)
-let flush_trace () =
-  (match !trace_sink with
+(* Rewrite the sinks from all traces so far; called after every run so
+   the files are complete whenever the harness stops. *)
+let flush_sinks r c =
+  (match r.trace_out with
   | None -> ()
   | Some (path, format) ->
       write_artifact path (fun oc ->
@@ -280,16 +367,18 @@ let flush_trace () =
           | Jsonl ->
               List.iter
                 (fun tr -> output_string oc (Trace.to_jsonl_string tr))
-                !traced
+                c.traced
           | Chrome ->
               output_string oc
                 (Trace.chrome_of_records
-                   (List.concat_map Trace.records !traced)));
+                   (List.concat_map Trace.records c.traced)));
       (* The ring drops oldest-first on overflow; a truncated artifact
          must say so rather than pass for a complete recording. *)
-      let dropped = traced_dropped () in
-      if dropped > !warned_dropped then begin
-        warned_dropped := dropped;
+      let dropped =
+        List.fold_left (fun acc tr -> acc + Trace.dropped tr) 0 c.traced
+      in
+      if dropped > c.warned_dropped then begin
+        c.warned_dropped <- dropped;
         Printf.eprintf
           "warning: trace ring overflowed; %d oldest record%s dropped from %s\n\
            %!"
@@ -297,13 +386,13 @@ let flush_trace () =
           (if dropped = 1 then "" else "s")
           path
       end);
-  match !profile_sink with
+  match r.profile_out with
   | None -> ()
   | Some path ->
       write_artifact path (fun oc ->
           List.iter
             (fun tr -> output_string oc (Trace.folded_stacks tr))
-            !profiled)
+            c.profiled)
 
 (* The accounting invariant, checked after every experiment run: the
    engine's lifetime busy cycles must equal the cycles charged through the
@@ -318,31 +407,14 @@ let finish_run b =
   (* The state sanitizer next to the accounting audit: a run that
      corrupted machine state must not report numbers. The lint half sees
      the recorded stream, so it is active whenever recording is. *)
-  Checker.assert_safe b.kernel;
-  (let vs =
-     (match !race_detector with Some d -> Race.violations d | None -> [])
-     @ (match !lockdep_checker with
-       | Some d -> Lockdep.violations d
-       | None -> [])
-     @ (match !capflow_detector with
-       | Some d -> Capflow.violations d
-       | None -> [])
-   in
-   match vs with
-   | [] -> ()
-   | vs -> raise (Checker.Unsafe (Invariant.report vs)));
-  flush_trace ()
+  Checker.assert_safe ~provenance:b.provenance b.kernel;
+  (match b.violations () with
+  | [] -> ()
+  | vs -> raise (Checker.Unsafe (Invariant.report vs)));
+  match !installed with Some (r, c) -> flush_sinks r c | None -> ()
 
 (* Every flavour boots down to the same {!Ufork_core.System.t}; the
    uniform interface is one projection, not five hand-rolled records. *)
-let booted_of_system sys =
-  {
-    kernel = System.kernel sys;
-    engine = System.engine sys;
-    start = (fun ?affinity ~image main -> System.start sys ?affinity ~image main);
-    run = (fun ?until () -> System.run ?until sys);
-  }
-
 let boot_raw ~cores ?config system =
   let sys =
     match system with
@@ -364,119 +436,100 @@ let boot_raw ~cores ?config system =
              ~costs:Costs.linux_ref ())
     | Nephele -> Vmclone.system (Vmclone.boot ~cores ?config ())
   in
-  booted_of_system sys
+  {
+    kernel = System.kernel sys;
+    engine = System.engine sys;
+    start = (fun ?affinity ~image main -> System.start sys ?affinity ~image main);
+    run = (fun ?until () -> System.run ?until sys);
+    provenance = false;
+    violations = (fun () -> []);
+  }
 
-let boot ?(cores = 4) ?config system =
-  let cores = Option.value !default_cores ~default:cores in
-  (* Arm the detectors before boot so image setup and process spawns are
-     already on their clocks. The bus carries a single subscriber: one
-     closure dispatches to whichever of the two checkers is armed; when
-     neither is, the bus from an earlier (possibly aborted) checked run
-     must not outlive it — disarm and drop both. *)
-  let rd = if !race_detect then Some (Race.create ()) else None in
-  let ld = if !lockdep_detect then Some (Lockdep.create ()) else None in
-  let cd = if !causal_trace then Some (Causal.create ()) else None in
-  race_detector := rd;
-  lockdep_checker := ld;
-  causal_collector := cd;
-  (* The capflow detector needs the kernel, which does not exist yet:
-     its bus handler dispatches through the registry slot, filled right
-     after boot. The few boot-time stores it misses are swept by the
-     armed Checker clause at finish_run. *)
-  capflow_detector := None;
-  Capflow.armed := !capflow_detect;
-  let handlers =
-    List.filter_map Fun.id
-      [
-        Option.map (fun d ev -> Race.handle d ev) rd;
-        Option.map (fun d ev -> Lockdep.handle d ev) ld;
-        Option.map (fun d ev -> Causal.handle d ev) cd;
-        (if !capflow_detect then
-           Some
-             (fun ev ->
-               match !capflow_detector with
-               | Some d -> Capflow.handle d ev
-               | None -> ())
-         else None);
-      ]
+(* Arm the installed run on a machine booted under it. Bus detectors
+   subscribe before boot so image setup and process spawns are already
+   on their clocks; capflow needs the kernel, so it subscribes right
+   after (the boot-time stores it misses are swept at [finish_run]).
+   The previous machine's subscriptions go first: a detector must never
+   see another machine's events. *)
+let armed_boot r c ~cores ?config system =
+  let chaos =
+    Option.map
+      (fun name ->
+        match find_chaos name with
+        | Some row -> row
+        | None -> invalid_arg ("unknown chaos injection " ^ name))
+      r.chaos
   in
-  (match handlers with
-  | [] -> Ufork_util.Hb.unsubscribe ()
-  | [ h ] -> Ufork_util.Hb.subscribe h
-  | hs -> Ufork_util.Hb.subscribe (fun ev -> List.iter (fun h -> h ev) hs));
+  let armed inv =
+    List.mem inv r.detect
+    || match chaos with Some row -> row.expect = inv | None -> false
+  in
+  drop_subscriptions c;
+  let detector on create handle =
+    if on then begin
+      let d = create () in
+      c.subscriptions <- Hb.subscribe (handle d) :: c.subscriptions;
+      Some d
+    end
+    else None
+  in
+  let race = detector (armed Invariant.Data_race) Race.create Race.handle in
+  let lockdep =
+    detector (armed Invariant.Lock_order) Lockdep.create Lockdep.handle
+  in
+  let causal =
+    detector
+      (r.causal || armed Invariant.Lock_stall)
+      Causal.create Causal.handle
+  in
+  c.graph <- causal;
   let b = boot_raw ~cores ?config system in
-  if !capflow_detect then begin
-    capflow_detector := Some (Capflow.create b.kernel);
-    (* Fail at the fork that leaked, not at the next sweep: the probe
-       raises from inside the fork window's closing edge. *)
-    Fork_spine.fork_probe :=
-      Some
-        (fun k ~child ->
-          match Capflow.scan_fork k ~child with
-          | [] -> ()
-          | vs -> raise (Checker.Unsafe (Invariant.report vs)))
-  end
-  else Fork_spine.fork_probe := None;
-  if !chaos_skip_rebase then Relocate.chaos_skip_rebase := true;
-  if !chaos_heap_smuggle then Fork_spine.chaos_heap_smuggle := true;
-  if !chaos_leak_root then
-    (* A rogue boot thread retries until a process is running, then
-       plants the kernel root in its GOT — the stream detector (and the
-       armed sweep) must accuse exactly R4. *)
-    ignore
-      (Engine.spawn b.engine ~name:"chaos-leak-root" (fun () ->
-           let rec attempt budget =
-             Engine.sleep 500L;
-             if (not (Kernel.chaos_leak_root b.kernel)) && budget > 0 then
-               attempt (budget - 1)
-           in
-           attempt 100));
   (* Boot-time events were stamped 0 (correct: the engine starts there);
      everything after reads the machine's clock. *)
+  Option.iter (fun g -> Causal.set_now g (fun () -> Engine.now b.engine)) causal;
+  let capflow =
+    detector
+      (armed Invariant.Cap_provenance)
+      (fun () -> Capflow.create b.kernel)
+      Capflow.handle
+  in
+  register_trace r c (Kernel.trace b.kernel);
   Option.iter
-    (fun c -> Causal.set_now c (fun () -> Engine.now b.engine))
-    cd;
-  register_trace (Kernel.trace b.kernel);
-  (match !sample_interval with
-  | Some interval -> Kernel.enable_stat_sampling b.kernel ~interval
-  | None -> ());
-  if !chaos_no_bkl then begin
-    Kernel.chaos_disable_biglock b.kernel;
-    (* The seeded bug: one kernel-side write to shared state (the fork
-       latency gauge every fork also writes) from a thread that takes no
-       lock. With the big lock gone nothing orders it. *)
-    ignore
-      (Engine.spawn b.engine ~name:"chaos-unlocked" (fun () ->
-           Engine.sleep 1_000L;
-           Trace.gauge (Kernel.trace b.kernel) Trace.last_fork_latency_key 0))
-  end;
-  if !chaos_unshard then
-    (* The sharded-regime control: only the stats shard loses its lock.
-       No bug is seeded beyond that — the race, if the detector is
-       honest, is between two legitimate fork-path gauge writes from
-       different forking threads (run a concurrent-fork workload such as
-       {!fork_storm_run}). Every other shard stays armed, so the report
-       must be exactly one R1 on the gauge. *)
-    Kernel.chaos_unshard_stats b.kernel;
-  if !chaos_invert_shard_order then
-    (* The lockdep control: a rogue boot thread takes one pt-shard pair
-       in descending index order. Spawned first, it runs before any
-       workload thread, so both shards are free and the inversion
-       completes (and is published) rather than deadlocking — the
-       checker must fail the run with exactly R2. *)
-    ignore
-      (Engine.spawn b.engine ~name:"chaos-shard-invert" (fun () ->
-           Kernel.chaos_acquire_shards_descending b.kernel));
-  if !chaos_stall then
-    (* The causal-analyzer control: a rogue boot thread camps on
-       pt-shard 0 across a long sleep. Spawned before any workload
-       thread, it wins the shard while free; every fork touching shard 0
-       then queues behind a sleeping holder, and the analysis must name
-       this lock as the dominant critical-path edge. *)
-    ignore
-      (Engine.spawn b.engine ~name:"chaos-stall-shard" (fun () ->
-           Kernel.chaos_stall_shard b.kernel));
-  b
+    (fun interval -> Kernel.enable_stat_sampling b.kernel ~interval)
+    r.sample_interval;
+  (* The injection goes in before the capflow probe: a heap-smuggled
+     capability is planted at the fork's end, and the probe must see it. *)
+  Option.iter (fun row -> row.arm b.kernel) chaos;
+  if Option.is_some capflow then
+    (* Fail at the fork that leaked, not at the next sweep: the probe
+       raises from inside the fork window's closing edge. *)
+    Kernel.watch_forks b.kernel
+      {
+        Kernel.no_fork_watch with
+        fork_end =
+          (fun ~child ->
+            match Capflow.scan_fork b.kernel ~child with
+            | [] -> ()
+            | vs -> raise (Checker.Unsafe (Invariant.report vs)));
+      };
+  let found f = Option.fold ~none:[] ~some:f in
+  {
+    b with
+    provenance = Option.is_some capflow;
+    violations =
+      (fun () ->
+        found Race.violations race
+        @ found Lockdep.violations lockdep
+        @ found Capflow.violations capflow
+        @ if armed Invariant.Lock_stall then found Causal.lock_stall causal
+          else []);
+  }
+
+let boot ?(cores = 4) ?config system =
+  match !installed with
+  | None -> boot_raw ~cores ?config system
+  | Some (r, c) ->
+      armed_boot r c ~cores:(Option.value r.cores ~default:cores) ?config system
 
 let child_private_mb b pid =
   match Kernel.find_uproc b.kernel pid with
@@ -771,6 +824,38 @@ let fork_storm_run ?config system ~cores ~iters () =
     fault_p99_us = quant 0.99;
     steals = Engine.steals b.engine;
   }
+
+(* {1 The shared observer workloads} *)
+
+let run_workload system = function
+  | Hello ->
+      let r = hello_run system in
+      Printf.sprintf "%s: fork %.1f us, child memory %.2f MB"
+        (system_label system) r.fork_latency_us r.child_memory_mb
+  | Redis ->
+      let r =
+        redis_run system ~entries:50 ~value_len:(100 * 1024) ~db_label:"5 MB"
+      in
+      Printf.sprintf "%s: save %.2f ms, fork %.1f us" (system_label system)
+        r.save_ms r.fork_us
+  | Unixbench ->
+      let r = unixbench_run system ~spawn_iters:50 ~context1_iters:500 in
+      Printf.sprintf "%s: Spawn(50) %.2f ms, Context1(500) %.2f ms"
+        (system_label system) r.spawn_ms r.context1_ms
+  | Storm ->
+      let cores = Option.value (current_run ()).cores ~default:4 in
+      let r = fork_storm_run system ~cores ~iters:4 () in
+      Printf.sprintf "%s: %d forks on %d cores, %.0f forks/s"
+        (system_label system) r.forks r.cores r.forks_per_s
+
+let check system workload =
+  match run_workload system workload with
+  | _ -> Ok ()
+  | exception Checker.Unsafe report -> Error report
+  | exception Trace.Audit_failure msg -> Error ("accounting audit: " ^ msg)
+  | exception Causal.Audit_failure msg -> Error ("critical-path audit: " ^ msg)
+  | exception Capability.Violation msg ->
+      Error ("architectural capability violation: " ^ msg)
 
 (* {1 Ablations} *)
 

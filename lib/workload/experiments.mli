@@ -15,33 +15,72 @@ type system =
 
 val system_label : system -> string
 
-(** {1 Harness-wide run options} *)
+(** {1 The run value}
 
-val set_default_cores : int option -> unit
-(** Override the core count every subsequent experiment boots with
-    ([None] restores each experiment's own default). Set once from the
-    front end's [--cores] flag. *)
+    Harness-wide options live in one [run] record. Install one with
+    {!with_run}; every experiment booted inside reads it, so one
+    [--cores] or [--trace-out] applies uniformly across the systems an
+    experiment compares. Outside any [with_run] the run is {!empty_run}. *)
 
 (** Trace sink encoding: one JSON record per line, or a Chrome
     [about:tracing] / Perfetto trace-event file. *)
 type trace_format = Jsonl | Chrome
 
-val set_trace_out : ?format:trace_format -> string option -> unit
-(** Direct every subsequent experiment to record its mechanism events and
-    write them to the given file (all machines booted since the sink was
-    set, oldest first; rewritten after each run). [None] disables
-    tracing. Default format: [Jsonl]. *)
+type run = {
+  cores : int option;
+      (** Boot every machine with this many cores instead of each
+          experiment's own default. *)
+  record : bool;
+      (** Record mechanism events even without a trace sink, so the
+          protocol linter ({!Ufork_analysis.Lint}) has a stream to
+          check. *)
+  trace_out : (string * trace_format) option;
+      (** Record every machine and write them all to this file, oldest
+          first, rewritten after each run. *)
+  profile_out : string option;
+      (** Write every machine's folded-stack flamegraph text to this
+          file, rewritten after each run. *)
+  profiles : bool;
+      (** Keep every machine's trace for {!profiled_traces}, with no
+          file output. *)
+  sample_interval : int64 option;
+      (** Virtual-time stat sampling interval in cycles (see
+          {!Ufork_sas.Kernel.enable_stat_sampling}). *)
+  detect : Ufork_analysis.Invariant.t list;
+      (** Runtime invariants to arm: [Data_race] (R1, the
+          happens-before detector), [Lock_order] (R2, the acquisition
+          graph), [Lock_stall] (R3, whole-run critical-path blame) and
+          [Cap_provenance] (R4: the capflow stream detector, a scan at
+          every fork's end, and the provenance clause of the final
+          sweep). Every armed detector subscribes to the one
+          {!Ufork_util.Hb} bus; a violation fails the run with
+          {!Ufork_analysis.Checker.Unsafe}. *)
+  causal : bool;
+      (** Collect the causal graph ({!Ufork_analysis.Causal}) for
+          {!causal_graph}, without asserting R3. *)
+  chaos : string option;
+      (** One {!chaos_table} row to inject on every machine. The row
+          also arms the detector its [expect] invariant needs. *)
+}
 
-val set_record_always : bool -> unit
-(** Record mechanism events on every machine booted from now on even
-    without a trace sink, so the protocol linter
-    ({!Ufork_analysis.Lint}) has a stream to check. Used by the [check]
-    front end. *)
+val empty_run : run
+(** Nothing armed, nothing recorded, every experiment's own core count. *)
 
-val traced_dropped : unit -> int
-(** Total records evicted by ring overflow across every trace registered
-    on the current sink — nonzero means the written file is truncated
-    (oldest records first). *)
+val current_run : unit -> run
+
+val with_run : run -> (unit -> 'a) -> 'a
+(** [with_run r f] runs [f] with [r] installed and restores the
+    previous run afterwards, also when [f] raises. The traces a sink or
+    {!profiled_traces} collects, and the {!causal_graph}, belong to the
+    outermost [with_run]: a nested one adds to them. *)
+
+val profiled_traces : unit -> Ufork_sim.Trace.t list
+(** Machines booted under the current run with [profiles] or
+    [profile_out] set, oldest first. *)
+
+val causal_graph : unit -> Ufork_analysis.Causal.t option
+(** The causal collector of the most recent boot under the current run,
+    if it collected one. *)
 
 val write_artifact : string -> (out_channel -> unit) -> unit
 (** Write one output artifact via {!Ufork_util.Fsout.with_out}: missing
@@ -49,122 +88,53 @@ val write_artifact : string -> (out_channel -> unit) -> unit
     clean one-line error and exits 1 — no backtrace. Shared by the trace
     and profile sinks here and the CLI/bench front ends. *)
 
-(** {1 Profiling options} *)
+(** {1 Observer workloads} *)
 
-val set_profile_out : string option -> unit
-(** Write the folded-stack flamegraph text of every subsequent
-    experiment's machines to the given file (rewritten after each run,
-    like the trace sink). [None] disables. *)
+(** The small runs the observer front ends share ([check], [explain],
+    [trace], [profile], [stats]): Fig. 8's hello, a 5 MB Redis BGSAVE
+    (50 x 100 KiB), Unixbench with 50 spawns and 500 round trips, and
+    the fork storm (one forker per core, 4 forks each). *)
+type workload = Hello | Redis | Unixbench | Storm
 
-val set_collect_profiles : bool -> unit
-(** Keep every subsequently booted machine's trace reachable through
-    {!profiled_traces} — no file output — so a front end can read span
-    totals, histograms and samples back after the run. *)
+val workloads : (string * workload) list
+(** Command-line names, in display order. *)
 
-val profiled_traces : unit -> Ufork_sim.Trace.t list
-(** Machines booted since a profile consumer was armed, oldest first. *)
+val workload_name : workload -> string
 
-val set_sample_interval : int64 option -> unit
-(** Enable virtual-time stat sampling (see
-    {!Ufork_sas.Kernel.enable_stat_sampling}) with the given cycle
-    interval on every machine booted from now on. [None] disables for
-    subsequent boots. *)
+val run_workload : system -> workload -> string
+(** Run one workload under the current run and return a one-line
+    summary. The storm uses the run's [cores] (default 4) forkers. *)
 
-(** {1 Race and lock-order detection} *)
+val check : system -> workload -> (unit, string) result
+(** {!run_workload}, with every failed check turned into [Error report]:
+    an invariant violation, a failed accounting or critical-path audit,
+    or an architectural capability violation. *)
 
-val set_race_detect : bool -> unit
-(** Arm the happens-before race detector ({!Ufork_analysis.Race}) on
-    every machine booted from now on; the end-of-run check raises
-    {!Ufork_analysis.Checker.Unsafe} with R1 violations if any
-    conflicting unordered writes were observed. *)
+(** {1 The chaos table}
 
-val set_lockdep_detect : bool -> unit
-(** Arm the lock-acquisition-order checker ({!Ufork_analysis.Lockdep})
-    on every machine booted from now on; the end-of-run check raises
-    {!Ufork_analysis.Checker.Unsafe} with R2 violations if the runtime
-    acquisition graph grew a cycle or a pt-shard pair was nested in
-    descending index order. Composes with {!set_race_detect}: one bus
-    subscriber dispatches to both. *)
+    Each fault injection certifies one detector: its control run must
+    fail with exactly the row's invariant, and the same run without the
+    injection must pass. *)
 
-val set_chaos_no_bkl : bool -> unit
-(** Fault injection for the race detector: boot every subsequent machine
-    with the big kernel lock chaos-disabled and spawn one rogue thread
-    that performs a deliberate unlocked write to shared state mid-run.
-    Meaningful together with {!set_race_detect}, which must then flag
-    R1. *)
+type chaos = {
+  name : string;
+  expect : Ufork_analysis.Invariant.t;
+      (** The only invariant the control may report; injecting the row
+          arms its detector. *)
+  subject : string option;
+      (** When set, the subject the violation must accuse. *)
+  doc : string;  (** What the injection does, in one line. *)
+  control : system * workload * int;
+      (** The system, workload and cores of the must-fail run. *)
+  arm : Ufork_sas.Kernel.t -> unit;
+      (** Inject into a freshly booted machine. *)
+}
 
-val set_chaos_unshard : bool -> unit
-(** Fault injection for the sharded-lock regime: boot every subsequent
-    machine with exactly one sharded lock (the stats shard guarding the
-    fork-latency gauge) chaos-disabled
-    ({!Ufork_sas.Kernel.chaos_unshard_stats}). No rogue write is seeded:
-    under a concurrent-fork workload ({!fork_storm_run}) the legitimate
-    fork-path gauge writes themselves lose their ordering edge, so with
-    {!set_race_detect} the check must fail with exactly the one R1 on
-    the gauge — certifying that the stats shard, and not an accident of
-    scheduling, is what orders them. *)
+val chaos_table : chaos list
+(** no-bkl and unshard (R1), invert-shard-order (R2), stall-shard (R3),
+    skip-rebase, heap-smuggle and leak-root (R4). *)
 
-val set_chaos_invert_shard_order : bool -> unit
-(** Fault injection for the lock-order checker: every subsequent boot
-    spawns one rogue thread that acquires a page-table shard pair in
-    descending index order
-    ({!Ufork_sas.Kernel.chaos_acquire_shards_descending}). With
-    {!set_lockdep_detect} the run must fail with exactly R2. No-op
-    under the big-kernel-lock regime (no shards to invert). *)
-
-(** {1 Causal tracing} *)
-
-val set_causal_trace : bool -> unit
-(** Arm the causal collector ({!Ufork_analysis.Causal}) on every machine
-    booted from now on; read it back with {!causal_graph} after the run
-    for critical-path analysis. Composes with the detectors above over
-    the one bus subscription. *)
-
-val causal_graph : unit -> Ufork_analysis.Causal.t option
-(** The collector armed at the most recent {!boot}, if any. *)
-
-val set_chaos_stall_shard : bool -> unit
-(** Fault injection for the causal analyzer: every subsequent boot
-    spawns one rogue thread that holds page-table shard 0 across a long
-    sleep ({!Ufork_sas.Kernel.chaos_stall_shard}). Under a concurrent
-    fork workload with {!set_causal_trace}, the analysis must find a
-    dominant wait edge on the critical path and fail with R3 — the
-    reported lock may be downstream of the injected shard (the stall
-    convoys every forker onto the process-table lock). No-op when the
-    kernel is not sharded. *)
-
-(** {1 Capability-provenance (capflow) checking} *)
-
-val set_capflow_detect : bool -> unit
-(** Arm the R4 taint machinery on every machine booted from now on: the
-    {!Ufork_analysis.Capflow} stream detector on the bus subscription, a
-    fork-completion scan of every child's pages (through
-    {!Ufork_core.Fork_spine.fork_probe}), and the provenance clause of
-    {!Ufork_analysis.Checker.sweep}. A run that let authority leak
-    across fork fails with exactly R4. *)
-
-val set_chaos_skip_rebase : bool -> unit
-(** Fault injection for capflow: the next fork silently skips the rebase
-    of one capability ({!Ufork_core.Relocate.chaos_skip_rebase}),
-    leaving a parent-provenance capability in the child's pages. With
-    {!set_capflow_detect} the run must fail with exactly R4 at the fork
-    window's closing edge. *)
-
-val set_chaos_heap_smuggle : bool -> unit
-(** Fault injection for capflow: the next fork carries one parent
-    capability across in an OCaml-heap cell — invisible to §4.2's tag
-    scan and discharged from the static rule D13 — and raw-stores it
-    into the child's meta page
-    ({!Ufork_core.Fork_spine.chaos_heap_smuggle}). Only the runtime side
-    can catch it: with {!set_capflow_detect} the run must fail with
-    exactly R4. *)
-
-val set_chaos_leak_root : bool -> unit
-(** Fault injection for capflow: a rogue boot thread hands the kernel's
-    root capability to the first running μprocess
-    ({!Ufork_sas.Kernel.chaos_leak_root}). With {!set_capflow_detect}
-    the run must fail with exactly R4 (root provenance reachable from
-    user pages). *)
+val find_chaos : string -> chaos option
 
 (** {1 Domain-parallel sweeps} *)
 
@@ -174,10 +144,8 @@ val parmap : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     machine is self-contained, so each point's result is bit-identical
     to what the serial [List.map] produces — the qcheck suite pins this
     property; a raising point re-raises deterministically (first failure
-    in item order). Degrades to serial when [jobs <= 1] and, silently,
-    whenever a harness option that funnels per-run state through the
-    process-global registries is armed (trace/profile sinks,
-    [record_always], sampling, detectors, chaos modes). *)
+    in item order). Degrades to serial when [jobs <= 1] and whenever the
+    current run, apart from its core count, differs from {!empty_run}. *)
 
 val reset_emits : unit -> unit
 (** Zero the cross-run emitted-events accumulator below. *)

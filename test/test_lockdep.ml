@@ -8,13 +8,12 @@
      has a cycle, and ascending shard pairs are never flagged;
    - instrumentation and integration: the frame-pool fast path publishes
      guarded Pool writes (and a seeded unlocked drain races as R1), the
-     per-lock contention counters surface through Sync, and a full
-     checked run is clean while [--chaos-invert-shard-order] fails with
-     exactly R2. *)
+     per-lock contention counters surface through Sync, and full checked
+     runs are clean. The must-fail control (invert-shard-order) is a row
+     of the chaos table, certified in test_analysis. *)
 
 module Lockdep = Ufork_analysis.Lockdep
 module Race = Ufork_analysis.Race
-module Checker = Ufork_analysis.Checker
 module Invariant = Ufork_analysis.Invariant
 module Hb = Ufork_util.Hb
 module Phys = Ufork_mem.Phys
@@ -24,9 +23,9 @@ module E = Ufork_workload.Experiments
 
 let replay events =
   let d = Lockdep.create () in
-  Lockdep.attach d;
+  let sub = Hb.subscribe (Lockdep.handle d) in
   Fun.protect
-    ~finally:(fun () -> Lockdep.detach ())
+    ~finally:(fun () -> Hb.unsubscribe sub)
     (fun () -> List.iter Hb.emit events);
   d
 
@@ -213,11 +212,12 @@ let test_pool_transfers_guarded_and_published () =
   let pool = Phys.create ~cores:1 () in
   let guarded = ref 0 and writes = ref 0 in
   Phys.set_pool_guard pool (fun f -> incr guarded; f ());
-  Hb.subscribe (fun ev ->
-      match ev with
+  let sub =
+    Hb.subscribe (function
       | Hb.Write { loc = Hb.Pool; _ } -> incr writes
-      | _ -> ());
-  Fun.protect ~finally:Hb.unsubscribe (fun () ->
+      | _ -> ())
+  in
+  Fun.protect ~finally:(fun () -> Hb.unsubscribe sub) (fun () ->
       let frames = List.init 70 (fun _ -> Phys.alloc pool) in
       List.iter (fun f -> Phys.release pool f) frames;
       Alcotest.(check int) "one batched drain" 1 (Phys.drains pool);
@@ -236,25 +236,26 @@ let test_unlocked_drain_races () =
      draining threads is exactly the bug R1 must flag on the Pool
      location. *)
   let pool_write tid = Hb.Write { tid; loc = Hb.Pool; site = "Phys.drain" } in
-  let d = Race.create () in
-  Race.attach d;
-  Fun.protect
-    ~finally:(fun () -> Race.detach ())
-    (fun () -> List.iter Hb.emit [ pool_write 1; pool_write 2 ]);
+  let race events =
+    let d = Race.create () in
+    let sub = Hb.subscribe (Race.handle d) in
+    Fun.protect
+      ~finally:(fun () -> Hb.unsubscribe sub)
+      (fun () -> List.iter Hb.emit events);
+    d
+  in
+  let d = race [ pool_write 1; pool_write 2 ] in
   Alcotest.(check int) "seeded unlocked drain flagged" 1
     (List.length (Race.races d));
   (* The same two drains under the frame-pool lock hand-off are
      ordered. *)
-  let d = Race.create () in
-  Race.attach d;
-  Fun.protect
-    ~finally:(fun () -> Race.detach ())
-    (fun () ->
-      List.iter Hb.emit
-        [
-          acq 1 lock_a; pool_write 1; rel 1 lock_a;
-          acq 2 lock_a; pool_write 2; rel 2 lock_a;
-        ]);
+  let d =
+    race
+      [
+        acq 1 lock_a; pool_write 1; rel 1 lock_a;
+        acq 2 lock_a; pool_write 2; rel 2 lock_a;
+      ]
+  in
   Alcotest.(check int) "guarded drains are ordered" 0
     (List.length (Race.races d))
 
@@ -286,46 +287,18 @@ let test_contention_counters () =
 
 (* {1 Integration: checked runs} *)
 
-let with_lockdep ~chaos f =
-  E.set_lockdep_detect true;
-  E.set_chaos_invert_shard_order chaos;
-  Fun.protect
-    ~finally:(fun () ->
-      E.set_lockdep_detect false;
-      E.set_chaos_invert_shard_order false)
-    f
+let checked detect f = E.with_run { E.empty_run with detect } f
 
 let test_checked_run_clean () =
-  with_lockdep ~chaos:false (fun () ->
+  checked [ Invariant.Lock_order ] (fun () ->
       let r = E.hello_run (E.Ufork Strategy.Copa) in
       Alcotest.(check bool) "run completes" true (r.E.fork_latency_us > 0.))
 
 let test_race_and_lockdep_compose () =
-  (* One bus subscriber dispatches to both detectors; a clean run stays
-     clean with both armed. *)
-  E.set_race_detect true;
-  Fun.protect
-    ~finally:(fun () -> E.set_race_detect false)
-    (fun () ->
-      with_lockdep ~chaos:false (fun () ->
-          ignore (E.hello_run (E.Ufork Strategy.Copa))))
-
-let test_chaos_inversion_caught_as_r2 () =
-  let contains needle hay =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  with_lockdep ~chaos:true (fun () ->
-      match E.hello_run (E.Ufork Strategy.Copa) with
-      | _ -> Alcotest.fail "descending shard pair escaped the checker"
-      | exception Checker.Unsafe report ->
-          Alcotest.(check bool) "report cites R2" true (contains "R2" report);
-          Alcotest.(check bool) "report cites lock-order" true
-            (contains "lock-order" report);
-          Alcotest.(check bool) "no other invariant fires" false
-            (contains "R1" report || contains "S1" report
-            || contains "L1" report))
+  (* Both detectors subscribe to the one bus side by side; a clean run
+     stays clean with both armed. *)
+  checked [ Invariant.Data_race; Invariant.Lock_order ] (fun () ->
+      ignore (E.hello_run (E.Ufork Strategy.Copa)))
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
@@ -350,6 +323,4 @@ let suite =
       Alcotest.test_case "checked run is clean" `Quick test_checked_run_clean;
       Alcotest.test_case "race and lockdep compose on one bus" `Quick
         test_race_and_lockdep_compose;
-      Alcotest.test_case "chaos shard inversion caught as R2" `Quick
-        test_chaos_inversion_caught_as_r2;
     ]
