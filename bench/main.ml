@@ -88,7 +88,6 @@ module Fig12 = struct
   module Kernel = Ufork_sas.Kernel
   module Api = Ufork_sas.Api
   module Image = Ufork_sas.Image
-  module Os = Ufork_core.Os
   module Meter = Ufork_sim.Meter
 
   let page_state (pte : Pte.t) =
@@ -140,14 +139,15 @@ module Fig12 = struct
       ]
 
   (* A small forked pair with a capability-bearing heap, frozen at
-     interesting moments. [scenario] drives the child/parent accesses. *)
+     interesting moments. The parent inspects both page tables mid-run,
+     so it needs the machine before it starts: boot, start, run and
+     finish are spelled out rather than folded into [E.run_main]. *)
   let run () =
-    let os = Os.boot () in
-    let kernel = Os.kernel os in
+    let b = E.boot (E.Ufork Strategy.Copa) in
+    let kernel = b.E.kernel in
     let meter = Kernel.meter kernel in
-    let child_pid = ref 0 in
     let _ =
-      Os.start os
+      b.E.start
         ~image:
           (Image.make ~code_bytes:(16 * 1024) ~data_bytes:(8 * 1024)
              ~stack_bytes:(16 * 1024) ~heap_bytes:(64 * 1024) "fig")
@@ -175,7 +175,6 @@ module Fig12 = struct
                 ignore (capi.Api.read rfd 1);
                 capi.Api.exit 0)
           in
-          child_pid := pid;
           let child () = Option.get (Kernel.find_uproc kernel pid) in
           let self () =
             Option.get (Kernel.find_uproc kernel (api.Api.getpid ()))
@@ -212,7 +211,8 @@ module Fig12 = struct
           ignore (api.Api.write wfd (Bytes.of_string "g"));
           ignore (api.Api.wait ()))
     in
-    Os.run os
+    b.E.run ();
+    E.finish_run b
 end
 
 let fig1_fig2 () =
@@ -448,24 +448,10 @@ let fig8 () =
 (* Not a paper figure: Unixbench Pipe, since fast pipes are exactly the
    IPC benefit the paper claims for single address spaces. *)
 let pipe_rate system =
-  let module Image = Ufork_sas.Image in
-  let module Api = Ufork_sas.Api in
-  let module Os = Ufork_core.Os in
-  let module Mono = Ufork_baselines.Monolithic in
-  let module Unixbench = Ufork_apps.Unixbench in
   let iterations = if !quick then 2_000 else 20_000 in
-  let out = ref 0. in
-  let main api = out := Unixbench.pipe_throughput api ~iterations in
-  (match system with
-  | `Ufork ->
-      let os = Os.boot () in
-      ignore (Os.start os ~image:Image.hello main);
-      Os.run os
-  | `Cheribsd ->
-      let os = Mono.boot () in
-      ignore (Mono.start os ~image:Image.hello main);
-      Mono.run os);
-  !out
+  fst
+    (E.run_main system ~image:Ufork_sas.Image.hello (fun api ->
+         Ufork_apps.Unixbench.pipe_throughput api ~iterations))
 
 let fig9 () =
   section "Fig. 9: Unixbench Spawn and Context1";
@@ -490,8 +476,8 @@ let fig9 () =
   note
     "Extra (not in the paper) Unixbench Pipe: uFork %s kloops/s, \
      CheriBSD %s kloops/s\n"
-    (f1 (pipe_rate `Ufork /. 1000.))
-    (f1 (pipe_rate `Cheribsd /. 1000.))
+    (f1 (pipe_rate (E.Ufork Strategy.Copa) /. 1000.))
+    (f1 (pipe_rate E.Cheribsd /. 1000.))
 
 let toctou () =
   ensure_redis ();
@@ -799,29 +785,19 @@ let events_baseline : float option ref = ref None
 (* The pure emit microloop: one μprocess charging fixed-size compute
    slices back to back. Nothing else is runnable, so every slice takes
    Trace.emit's fastest path — this point isolates the per-event cost
-   the rest of the suite dilutes with boot, fork and scheduler work.
-   Counted directly off the machine's trace (the workload never goes
-   through an Experiments runner). *)
+   the rest of the suite dilutes with boot, fork and scheduler work. *)
 let charge_loop ~emits =
-  let module Os = Ufork_core.Os in
-  let module Kernel = Ufork_sas.Kernel in
-  let module Image = Ufork_sas.Image in
-  let module Api = Ufork_sas.Api in
-  let os =
-    Os.boot ~cores:1 ~config:Config.ufork_fast ~strategy:Strategy.Copa ()
-  in
   ignore
-    (Os.start os ~image:Ufork_sas.Image.hello (fun api ->
+    (E.run_main ~cores:1 (E.Ufork Strategy.Copa) ~image:Ufork_sas.Image.hello
+       (fun api ->
          for _ = 1 to emits do
-           api.Api.compute 64L
-         done));
-  Os.run os;
-  Ufork_sim.Trace.emits (Kernel.trace (Os.kernel os))
+           api.Ufork_sas.Api.compute 64L
+         done))
 
 let events () =
   section "Events: simulated mechanism events per host second (hot path)";
-  (* Each point returns the number of simulated events it emitted; all
-     but the charge loop count via the end-of-run audit hook. *)
+  (* Each point returns the number of simulated events it emitted, as
+     counted by the end-of-run audit hook. *)
   let counted run () =
     E.reset_emits ();
     run ();
@@ -837,7 +813,7 @@ let events () =
     [
       ( "charge-loop 64-cycle slices",
         let n = if !quick then 2_000_000 else 8_000_000 in
-        fun () -> charge_loop ~emits:n );
+        counted (fun () -> charge_loop ~emits:n) );
       ( "hello-fork x3 flavours",
         let reps = if !quick then 20 else 300 in
         counted (fun () ->

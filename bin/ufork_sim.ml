@@ -106,69 +106,18 @@ let faas_cmd =
   in
   let run system cores window workload =
     let module Mpy = Ufork_apps.Mpy in
-    let module Faas = Ufork_apps.Faas in
-    let module Os = Ufork_core.Os in
-    let module Mono = Ufork_baselines.Monolithic in
-    let module Image = Ufork_sas.Image in
     let program, locals, name =
       match workload with
       | `Float -> (Mpy.float_operation ~n:3650, 16, "float_operation")
       | `Matmul -> (Mpy.matmul ~n:10, Mpy.matmul_locals ~n:10, "matmul")
       | `Linpack -> (Mpy.linpack ~n:24, Mpy.linpack_locals ~n:24, "linpack")
     in
-    ignore locals;
-    (* The coordinator path uses the default locals via Faas; for the
-       non-default kernels run through a dedicated loop so locals fit. *)
-    match workload with
-    | `Float ->
-        let r = E.faas_run system ~worker_cores:cores ~window_s:window () in
-        Printf.printf "%s, %d worker cores, %s: %.0f functions/s (%d completed)\n"
-          (E.system_label system) cores name r.E.throughput_per_s r.E.completed
-    | `Matmul | `Linpack ->
-        let window_cycles = Units.cycles_of_s window in
-        let completed = ref 0 in
-        let main api =
-          Ufork_apps.Mpy.zygote_init api ~modules:24;
-          let t0 = api.Ufork_sas.Api.now () in
-          let deadline = Int64.add t0 window_cycles in
-          let outstanding = ref 0 in
-          while api.Ufork_sas.Api.now () < deadline do
-            if !outstanding < cores then begin
-              ignore
-                (api.Ufork_sas.Api.fork (fun capi ->
-                     ignore (Mpy.run capi ~locals program);
-                     capi.Ufork_sas.Api.exit 0));
-              incr outstanding
-            end
-            else begin
-              let _, st = api.Ufork_sas.Api.wait () in
-              decr outstanding;
-              if st = 0 && api.Ufork_sas.Api.now () <= deadline then
-                incr completed
-            end
-          done;
-          while !outstanding > 0 do
-            ignore (api.Ufork_sas.Api.wait ());
-            decr outstanding
-          done
-        in
-        (match system with
-        | E.Ufork strategy | E.Ufork_toctou strategy ->
-            let os = Os.boot ~cores:(cores + 1) ~strategy () in
-            ignore (Os.start os ~affinity:0 ~image:Image.micropython main);
-            Os.run os
-        | E.Cheribsd | E.Linux_ref ->
-            let os = Mono.boot ~cores:(cores + 1) () in
-            ignore (Mono.start os ~affinity:0 ~image:Image.micropython main);
-            Mono.run os
-        | E.Nephele ->
-            let module Vm = Ufork_baselines.Vmclone in
-            let os = Vm.boot ~cores:(cores + 1) () in
-            ignore (Vm.start os ~affinity:0 ~image:Image.micropython main);
-            Vm.run os);
-        Printf.printf "%s, %d worker cores, %s: %.0f functions/s\n"
-          (E.system_label system) cores name
-          (float_of_int !completed /. window)
+    let r =
+      E.faas_run system ~worker_cores:cores ~window_s:window ~program ~locals
+        ()
+    in
+    Printf.printf "%s, %d worker cores, %s: %.0f functions/s (%d completed)\n"
+      (E.system_label system) cores name r.E.throughput_per_s r.E.completed
   in
   Cmd.v
     (Cmd.info "faas" ~doc:"Zygote FaaS throughput (Fig. 6)")
@@ -204,46 +153,18 @@ let unixbench_cmd =
     (Cmd.info "unixbench" ~doc:"Unixbench Spawn and Context1 (Fig. 9)")
     Term.(const run $ const ())
 
-(* meter: run a Redis save and dump every mechanism counter. *)
+(* meter: run the shared 5 MB Redis save and dump every mechanism
+   counter of the machine it booted. *)
 let meter_cmd =
   let run system =
-    let module Kernel = Ufork_sas.Kernel in
-    let module Os = Ufork_core.Os in
-    let module Mono = Ufork_baselines.Monolithic in
-    let module Kvstore = Ufork_apps.Kvstore in
-    let module Rdb = Ufork_apps.Rdb in
-    let module Keyspace = Ufork_workload.Keyspace in
-    let entries = 50 and value_len = 100 * 1024 in
-    let image =
-      Ufork_sas.Image.redis ~heap_bytes:(entries * value_len * 137 / 100)
-    in
-    let main api =
-      let store = Kvstore.create api ~buckets:1024 () in
-      Keyspace.populate store ~entries ~value_len ~seed:1L;
-      ignore (Rdb.bgsave api store ~path:"/dump.rdb")
-    in
-    let kernel =
-      match system with
-      | E.Ufork strategy | E.Ufork_toctou strategy ->
-          let os = Os.boot ~strategy () in
-          ignore (Os.start os ~image main);
-          Os.run os;
-          Os.kernel os
-      | E.Cheribsd | E.Linux_ref ->
-          let os = Mono.boot () in
-          ignore (Mono.start os ~image main);
-          Mono.run os;
-          Mono.kernel os
-      | E.Nephele ->
-          let module Vm = Ufork_baselines.Vmclone in
-          let os = Vm.boot () in
-          ignore (Vm.start os ~image main);
-          Vm.run os;
-          Vm.kernel os
-    in
-    Printf.printf "Mechanism events for a 5 MB Redis BGSAVE on %s:\n\n"
-      (E.system_label system);
-    Format.printf "%a@." Kernel.pp_meter kernel
+    E.with_run { E.empty_run with profiles = true } (fun () ->
+        ignore (E.run_workload system E.Redis);
+        Printf.printf "Mechanism events for a 5 MB Redis BGSAVE on %s:\n\n"
+          (E.system_label system);
+        List.iter
+          (fun tr ->
+            Format.printf "%a@." Ufork_sim.Meter.pp (Ufork_sim.Trace.meter tr))
+          (E.profiled_traces ()))
   in
   Cmd.v
     (Cmd.info "meter"

@@ -1,114 +1,6 @@
-(* Throwaway: dump meter counts + cycle totals for the golden scenarios. *)
-module Engine = Ufork_sim.Engine
-module Meter = Ufork_sim.Meter
-module Trace = Ufork_sim.Trace
-module Costs = Ufork_sim.Costs
-module Kernel = Ufork_sas.Kernel
-module Config = Ufork_sas.Config
-module Image = Ufork_sas.Image
-module Strategy = Ufork_core.Strategy
-module Os = Ufork_core.Os
-module Monolithic = Ufork_baselines.Monolithic
-module Vmclone = Ufork_baselines.Vmclone
-module Hello = Ufork_apps.Hello
-module Kvstore = Ufork_apps.Kvstore
-module Rdb = Ufork_apps.Rdb
-module Keyspace = Ufork_workload.Keyspace
-module Checker = Ufork_analysis.Checker
-
-type booted = {
-  kernel : Kernel.t;
-  engine : Engine.t;
-  start : image:Image.t -> (Ufork_sas.Api.t -> unit) -> unit;
-  run : unit -> unit;
-}
-
-let boot ?(cores = 4) = function
-  | "ufork-copa" ->
-      let os =
-        Os.boot ~cores ~config:Config.ufork_fast ~strategy:Strategy.Copa ()
-      in
-      {
-        kernel = Os.kernel os;
-        engine = Os.engine os;
-        start = (fun ~image main -> ignore (Os.start os ~image main));
-        run = (fun () -> Os.run os);
-      }
-  | "cheribsd" ->
-      let os = Monolithic.boot ~cores () in
-      {
-        kernel = Monolithic.kernel os;
-        engine = Monolithic.engine os;
-        start = (fun ~image main -> ignore (Monolithic.start os ~image main));
-        run = (fun () -> Monolithic.run os);
-      }
-  | "nephele" ->
-      let os = Vmclone.boot ~cores () in
-      {
-        kernel = Vmclone.kernel os;
-        engine = Vmclone.engine os;
-        start = (fun ~image main -> ignore (Vmclone.start os ~image main));
-        run = (fun () -> Vmclone.run os);
-      }
-  | s -> invalid_arg s
-
-let finish b =
-  Trace.audit (Kernel.trace b.kernel) ~costs:(Kernel.costs b.kernel)
-    ~elapsed:(Engine.advanced b.engine);
-  Checker.assert_safe b.kernel
-
-let dump label b =
-  Printf.printf "SCENARIO %s\n" label;
-  Printf.printf "advanced %Ld\n" (Engine.advanced b.engine);
-  Printf.printf "charged %Ld\n" (Trace.total_charged (Kernel.trace b.kernel));
-  List.iter
-    (fun (k, v) -> Printf.printf "METER %s %d\n" k v)
-    (Meter.to_list (Kernel.meter b.kernel));
-  (* Per-phase attribution: a change that moves cycles between phases
-     without changing the totals is still a regression. *)
-  List.iter
-    (fun (st : Trace.span_total) ->
-      Printf.printf "SPAN %s self %Ld total %Ld n %d\n"
-        (String.concat ";" st.Trace.span_path)
-        st.Trace.span_self st.Trace.span_cycles st.Trace.span_count)
-    (Trace.span_totals (Kernel.trace b.kernel))
-
-let hello ?cores ?(tag = "hello") label =
-  let b = boot ?cores label in
-  b.start ~image:Image.hello (fun api ->
-      ignore (Hello.fork_once api);
-      Hello.reap api);
-  b.run ();
-  finish b;
-  dump (tag ^ "/" ^ label) b
-
-let redis_image ~db_bytes =
-  let heap_bytes = max (4 * 1024 * 1024) (db_bytes * 137 / 100) in
-  Image.redis ~heap_bytes
-
-let redis label =
-  let entries = 100 and value_len = 100 * 1024 in
-  let db_bytes = entries * value_len in
-  let b = boot label in
-  let result = ref None in
-  b.start
-    ~image:(redis_image ~db_bytes)
-    (fun api ->
-      let store = Kvstore.create api ~buckets:1024 () in
-      Keyspace.populate store ~entries ~value_len ~seed:0x5eedL;
-      result := Some (Rdb.bgsave api store ~path:"/dump.rdb"));
-  b.run ();
-  finish b;
-  assert (!result <> None);
-  dump ("redis10mb/" ^ label) b
-
+(* Print every golden scenario's dump; golden_seed.txt is this output.
+   Regenerate the recording only for an intentional accounting change. *)
 let () =
-  hello "ufork-copa";
-  hello "cheribsd";
-  hello "nephele";
-  (* 8-core point: pins the per-core run-queue / freelist / shootdown
-     accounting at a core count above the default 4. *)
-  hello ~cores:8 ~tag:"hello-8core" "ufork-copa";
-  redis "ufork-copa";
-  redis "cheribsd";
-  redis "nephele"
+  List.iter
+    (fun (_, dump) -> List.iter print_endline (dump ()))
+    Golden_scenarios.all

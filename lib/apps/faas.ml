@@ -7,16 +7,16 @@ type result = {
   forks : int;
 }
 
-let run_function (api : Api.t) program =
+let run_function (api : Api.t) ?locals program =
   match
     ignore (Mpy.zygote_check api);
-    Mpy.run api program
+    Mpy.run api ?locals program
   with
   | _v -> api.Api.exit 0
   | exception Mpy.Runtime_error _ -> api.Api.exit 1
   | exception Failure _ -> api.Api.exit 1
 
-let coordinator (api : Api.t) ~max_workers ~window_cycles ~program =
+let coordinator ?locals (api : Api.t) ~max_workers ~window_cycles ~program =
   if max_workers <= 0 then invalid_arg "Faas.coordinator";
   Mpy.zygote_init api ~modules:24;
   let t0 = api.Api.now () in
@@ -27,7 +27,7 @@ let coordinator (api : Api.t) ~max_workers ~window_cycles ~program =
   while api.Api.now () < deadline do
     if !outstanding < max_workers then begin
       incr forks;
-      ignore (api.Api.fork (fun capi -> run_function capi program));
+      ignore (api.Api.fork (fun capi -> run_function capi ?locals program));
       incr outstanding
     end
     else begin

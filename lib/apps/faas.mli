@@ -15,6 +15,7 @@ type result = {
 }
 
 val coordinator :
+  ?locals:int ->
   Ufork_sas.Api.t ->
   max_workers:int ->
   window_cycles:int64 ->
@@ -23,8 +24,10 @@ val coordinator :
 (** Run as the Zygote process main: initialize the runtime, then fork one
     child per request keeping [max_workers] in flight, reaping completions,
     until the window closes. Functions still in flight at the deadline are
-    reaped but not counted. *)
+    reaped but not counted. [locals] sizes each worker's interpreter
+    locals (see {!Mpy.run}). *)
 
-val run_function : Ufork_sas.Api.t -> Mpy.program -> unit
+val run_function : Ufork_sas.Api.t -> ?locals:int -> Mpy.program -> unit
 (** What a forked worker does: validate the inherited runtime state, run
-    the program, exit 0 (exit 1 on a runtime error). *)
+    the program with [locals] interpreter locals, exit 0 (exit 1 on a
+    runtime error). *)

@@ -1237,4 +1237,3 @@ let live_area_bytes t =
     (fun _base entries acc ->
       List.fold_left (fun acc (bytes, _) -> acc + bytes) acc entries)
     t.areas 0
-let pp_meter ppf t = Meter.pp ppf (Trace.meter t.trace)

@@ -340,5 +340,3 @@ val named_segment_frames : t -> (string * Ufork_mem.Phys.frame array) list
 (** The frames backing named shared-memory segments (["shm:<name>"]) and
     shared-library text (["lib:<name>"]). The kernel's table holds one
     reference per frame on top of any mappings. Sorted by name. *)
-
-val pp_meter : Format.formatter -> t -> unit

@@ -415,9 +415,19 @@ let finish_run b =
 
 (* Every flavour boots down to the same {!Ufork_core.System.t}; the
    uniform interface is one projection, not five hand-rolled records. *)
+let of_system sys =
+  {
+    kernel = System.kernel sys;
+    engine = System.engine sys;
+    start = (fun ?affinity ~image main -> System.start sys ?affinity ~image main);
+    run = (fun ?until () -> System.run ?until sys);
+    provenance = false;
+    violations = (fun () -> []);
+  }
+
 let boot_raw ~cores ?config system =
-  let sys =
-    match system with
+  of_system
+    (match system with
     | Ufork strategy ->
         Os.system
           (Os.boot ~cores
@@ -434,16 +444,7 @@ let boot_raw ~cores ?config system =
           (Monolithic.boot ~cores
              ~config:(Option.value config ~default:Config.linux_default)
              ~costs:Costs.linux_ref ())
-    | Nephele -> Vmclone.system (Vmclone.boot ~cores ?config ())
-  in
-  {
-    kernel = System.kernel sys;
-    engine = System.engine sys;
-    start = (fun ?affinity ~image main -> System.start sys ?affinity ~image main);
-    run = (fun ?until () -> System.run ?until sys);
-    provenance = false;
-    violations = (fun () -> []);
-  }
+    | Nephele -> Vmclone.system (Vmclone.boot ~cores ?config ()))
 
 (* Arm the installed run on a machine booted under it. Bus detectors
    subscribe before boot so image setup and process spawns are already
@@ -451,7 +452,7 @@ let boot_raw ~cores ?config system =
    after (the boot-time stores it misses are swept at [finish_run]).
    The previous machine's subscriptions go first: a detector must never
    see another machine's events. *)
-let armed_boot r c ~cores ?config system =
+let armed_boot r c make =
   let chaos =
     Option.map
       (fun name ->
@@ -483,7 +484,7 @@ let armed_boot r c ~cores ?config system =
       Causal.create Causal.handle
   in
   c.graph <- causal;
-  let b = boot_raw ~cores ?config system in
+  let b = make () in
   (* Boot-time events were stamped 0 (correct: the engine starts there);
      everything after reads the machine's clock. *)
   Option.iter (fun g -> Causal.set_now g (fun () -> Engine.now b.engine)) causal;
@@ -525,11 +526,27 @@ let armed_boot r c ~cores ?config system =
           else []);
   }
 
-let boot ?(cores = 4) ?config system =
+(* [make] boots the bare machine; the installed run picks its cores. *)
+let boot_with ~cores make =
   match !installed with
-  | None -> boot_raw ~cores ?config system
+  | None -> make ~cores
   | Some (r, c) ->
-      armed_boot r c ~cores:(Option.value r.cores ~default:cores) ?config system
+      armed_boot r c (fun () -> make ~cores:(Option.value r.cores ~default:cores))
+
+let boot ?(cores = 4) ?config system =
+  boot_with ~cores (fun ~cores -> boot_raw ~cores ?config system)
+
+let run_on ?affinity b ~image main =
+  let result = ref None in
+  ignore (b.start ?affinity ~image (fun api -> result := Some (main api)));
+  b.run ();
+  finish_run b;
+  match !result with
+  | Some r -> (r, b)
+  | None -> failwith "run_main: main never completed"
+
+let run_main ?cores ?config ?affinity system ~image main =
+  run_on ?affinity (boot ?cores ?config system) ~image main
 
 let child_private_mb b pid =
   match Kernel.find_uproc b.kernel pid with
@@ -560,41 +577,32 @@ let redis_image ~db_bytes =
 
 let redis_run system ~entries ~value_len ~db_label =
   let db_bytes = entries * value_len in
-  let b = boot ~cores:4 system in
-  let result = ref None in
-  let _u =
-    b.start ~image:(redis_image ~db_bytes) (fun api ->
+  let r, b =
+    run_main system ~image:(redis_image ~db_bytes) (fun api ->
         let store = Kvstore.create api ~buckets:1024 () in
         Keyspace.populate store ~entries ~value_len ~seed:value_seed;
-        let r = Rdb.bgsave api store ~path:"/dump.rdb" in
-        result := Some r)
+        Rdb.bgsave api store ~path:"/dump.rdb")
   in
-  b.run ();
-  finish_run b;
-  match !result with
-  | None -> failwith "redis_run: benchmark process never completed"
-  | Some r ->
-      let dump_ok =
-        match Vfs.contents (Kernel.vfs b.kernel) "/dump.rdb" with
-        | exception Not_found -> false
-        | contents -> (
-            match Rdb.verify contents with
-            | exception Failure _ -> false
-            | got ->
-                let got = List.sort compare got in
-                got
-                = Keyspace.expected_entries ~entries ~value_len ~seed:value_seed)
-      in
-      {
-        system;
-        db_label;
-        db_bytes;
-        entries;
-        save_ms = Units.ms_of_cycles r.Rdb.total_cycles;
-        fork_us = Units.us_of_cycles r.Rdb.fork_latency_cycles;
-        child_mb = child_private_mb b r.Rdb.child_pid;
-        dump_ok;
-      }
+  let dump_ok =
+    match Vfs.contents (Kernel.vfs b.kernel) "/dump.rdb" with
+    | exception Not_found -> false
+    | contents -> (
+        match Rdb.verify contents with
+        | exception Failure _ -> false
+        | got ->
+            let got = List.sort compare got in
+            got = Keyspace.expected_entries ~entries ~value_len ~seed:value_seed)
+  in
+  {
+    system;
+    db_label;
+    db_bytes;
+    entries;
+    save_ms = Units.ms_of_cycles r.Rdb.total_cycles;
+    fork_us = Units.us_of_cycles r.Rdb.fork_latency_cycles;
+    child_mb = child_private_mb b r.Rdb.child_pid;
+    dump_ok;
+  }
 
 let redis_sweep ~systems ?(sizes = Keyspace.db_sizes_of_paper) ?(jobs = 1) ()
     =
@@ -623,29 +631,22 @@ type faas_row = {
 (* FunctionBench float_operation sized to ~0.6 ms of interpreter work. *)
 let faas_program = Mpy.float_operation ~n:3650
 
-let faas_run system ~worker_cores ?(window_s = 1.0) () =
+let faas_run system ~worker_cores ?(window_s = 1.0) ?(program = faas_program)
+    ?locals () =
   if worker_cores <= 0 then invalid_arg "faas_run";
-  let b = boot ~cores:(worker_cores + 1) system in
-  let result = ref None in
   let window_cycles = Units.cycles_of_s window_s in
-  let _u =
-    b.start ~affinity:0 ~image:Image.micropython (fun api ->
-        result :=
-          Some
-            (Faas.coordinator api ~max_workers:worker_cores ~window_cycles
-               ~program:faas_program))
+  let r, _ =
+    run_main ~cores:(worker_cores + 1) ~affinity:0 system
+      ~image:Image.micropython (fun api ->
+        Faas.coordinator ?locals api ~max_workers:worker_cores ~window_cycles
+          ~program)
   in
-  b.run ();
-  finish_run b;
-  match !result with
-  | None -> failwith "faas_run: coordinator never completed"
-  | Some r ->
-      {
-        system;
-        worker_cores;
-        throughput_per_s = r.Faas.throughput_per_s;
-        completed = r.Faas.completed;
-      }
+  {
+    system;
+    worker_cores;
+    throughput_per_s = r.Faas.throughput_per_s;
+    completed = r.Faas.completed;
+  }
 
 (* {1 Nginx} *)
 
@@ -692,24 +693,17 @@ type hello_row = {
 }
 
 let hello_run system =
-  let b = boot ~cores:4 system in
-  let sample = ref None in
-  let _u =
-    b.start ~image:Image.hello (fun api ->
+  let s, b =
+    run_main system ~image:Image.hello (fun api ->
         let s = Hello.fork_once api in
-        sample := Some s;
-        Hello.reap api)
+        Hello.reap api;
+        s)
   in
-  b.run ();
-  finish_run b;
-  match !sample with
-  | None -> failwith "hello_run: process never completed"
-  | Some s ->
-      {
-        system;
-        fork_latency_us = Units.us_of_cycles s.Hello.latency_cycles;
-        child_memory_mb = child_private_mb b s.Hello.child_pid;
-      }
+  {
+    system;
+    fork_latency_us = Units.us_of_cycles s.Hello.latency_cycles;
+    child_memory_mb = child_private_mb b s.Hello.child_pid;
+  }
 
 let fig8 () = List.map hello_run [ Ufork Strategy.Copa; Cheribsd; Nephele ]
 
@@ -722,34 +716,18 @@ type unixbench_row = {
 }
 
 let unixbench_run system ~spawn_iters ~context1_iters =
-  let spawn_cycles =
-    let b = boot ~cores:4 system in
-    let out = ref 0L in
-    let _u =
-      b.start ~image:Image.hello (fun api ->
-          out := Unixbench.spawn api ~iterations:spawn_iters)
-    in
-    b.run ();
-    finish_run b;
-    !out
+  let spawn_cycles, _ =
+    run_main system ~image:Image.hello (fun api ->
+        Unixbench.spawn api ~iterations:spawn_iters)
   in
-  let ctx =
-    let b = boot ~cores:4 system in
-    let out = ref None in
-    let _u =
-      b.start ~image:Image.hello (fun api ->
-          out := Some (Unixbench.context1 api ~iterations:context1_iters))
-    in
-    b.run ();
-    finish_run b;
-    match !out with
-    | Some r -> r.Unixbench.total_cycles
-    | None -> failwith "context1 never completed"
+  let ctx, _ =
+    run_main system ~image:Image.hello (fun api ->
+        Unixbench.context1 api ~iterations:context1_iters)
   in
   {
     system;
     spawn_ms = Units.ms_of_cycles spawn_cycles;
-    context1_ms = Units.ms_of_cycles ctx;
+    context1_ms = Units.ms_of_cycles ctx.Unixbench.total_cycles;
   }
 
 let fig9 ?(spawn_iters = 1000) ?(context1_iters = 100_000) () =
@@ -861,30 +839,32 @@ let check system workload =
 
 type ablation_row = { label : string; value : float; unit_ : string }
 
+(* [proactive] is a boot option of {!Os}, not a {!Config} field, so this
+   is the one machine booted outside [boot_raw]'s table. *)
 let zygote_fork_faults ~proactive =
-  let os =
-    Os.boot ~cores:2 ~config:Config.ufork_fast ~strategy:Strategy.Copa
-      ~proactive ()
+  let b =
+    boot_with ~cores:2 (fun ~cores ->
+        of_system
+          (Os.system
+             (Os.boot ~cores ~config:Config.ufork_fast ~strategy:Strategy.Copa
+                ~proactive ())))
   in
-  let kernel = Os.kernel os in
-  let latency = ref 0L in
-  let _u =
-    Os.start os ~image:Image.micropython (fun api ->
+  let latency, _ =
+    run_on b ~image:Image.micropython (fun api ->
         Mpy.zygote_init api ~modules:24;
         let t0 = api.Api.now () in
         ignore
           (api.Api.fork (fun capi ->
                ignore (Mpy.zygote_check capi);
                capi.Api.exit 0));
-        latency := Int64.sub (api.Api.now ()) t0;
-        ignore (api.Api.wait ()))
+        let latency = Int64.sub (api.Api.now ()) t0 in
+        ignore (api.Api.wait ());
+        latency)
   in
-  Os.run os;
-  Checker.assert_safe kernel;
   let faults =
-    Ufork_sim.Meter.get (Kernel.meter kernel) Ufork_sim.Event.fault_key
+    Ufork_sim.Meter.get (Kernel.meter b.kernel) Ufork_sim.Event.fault_key
   in
-  (Units.us_of_cycles !latency, float_of_int faults)
+  (Units.us_of_cycles latency, float_of_int faults)
 
 let ablate_proactive () =
   let lat_on, faults_on = zygote_fork_faults ~proactive:true in
@@ -897,17 +877,11 @@ let ablate_proactive () =
   ]
 
 let context1_with_config config =
-  let os = Os.boot ~cores:4 ~config ~strategy:Strategy.Copa () in
-  let out = ref None in
-  let _u =
-    Os.start os ~image:Image.hello (fun api ->
-        out := Some (Unixbench.context1 api ~iterations:10_000))
+  let r, _ =
+    run_main ~config (Ufork Strategy.Copa) ~image:Image.hello (fun api ->
+        Unixbench.context1 api ~iterations:10_000)
   in
-  Os.run os;
-  Checker.assert_safe (Os.kernel os);
-  match !out with
-  | Some r -> r.Unixbench.per_switch_cycles /. Units.clock_hz *. 1e6
-  | None -> failwith "context1 never completed"
+  r.Unixbench.per_switch_cycles /. Units.clock_hz *. 1e6
 
 let ablate_syscall_entry () =
   let sealed = context1_with_config Config.ufork_fast in
@@ -922,27 +896,19 @@ let ablate_syscall_entry () =
 
 let ablate_isolation () =
   let run config label =
-    let b =
-      boot ~cores:4 ~config (Ufork Strategy.Copa)
-    in
-    let result = ref None in
     let entries = 100 and value_len = 100 * 1024 in
-    let _u =
-      b.start ~image:(redis_image ~db_bytes:(entries * value_len)) (fun api ->
+    let r, _ =
+      run_main ~config (Ufork Strategy.Copa)
+        ~image:(redis_image ~db_bytes:(entries * value_len)) (fun api ->
           let store = Kvstore.create api ~buckets:1024 () in
           Keyspace.populate store ~entries ~value_len ~seed:value_seed;
-          result := Some (Rdb.bgsave api store ~path:"/dump.rdb"))
+          Rdb.bgsave api store ~path:"/dump.rdb")
     in
-    b.run ();
-    finish_run b;
-    match !result with
-    | Some r ->
-        {
-          label = "Redis 10MB save, " ^ label;
-          value = Units.ms_of_cycles r.Rdb.total_cycles;
-          unit_ = "ms";
-        }
-    | None -> failwith "ablate_isolation: run failed"
+    {
+      label = "Redis 10MB save, " ^ label;
+      value = Units.ms_of_cycles r.Rdb.total_cycles;
+      unit_ = "ms";
+    }
   in
   [
     run { Config.ufork_fast with Config.isolation = Config.No_isolation } "no isolation";
@@ -968,10 +934,11 @@ type fragmentation_row = {
 }
 
 let fragmentation_run ?(fit = Config.First_fit) ~mixed ~churn () =
-  let os =
-    Os.boot ~cores:2 ~config:(Config.with_area_fit fit Config.ufork_fast) ()
+  let b =
+    boot ~cores:2
+      ~config:(Config.with_area_fit fit Config.ufork_fast)
+      (Ufork Strategy.Copa)
   in
-  let kernel = Os.kernel os in
   let images =
     if mixed then
       [
@@ -986,14 +953,14 @@ let fragmentation_run ?(fit = Config.First_fit) ~mixed ~churn () =
   List.iter
     (fun image ->
       ignore
-        (Os.start os ~image (fun api ->
+        (b.start ~image (fun api ->
              for _ = 1 to churn do
                ignore (api.Api.fork (fun capi -> capi.Api.exit 0));
                ignore (api.Api.wait ())
              done)))
     images;
-  Os.run os;
-  Checker.assert_safe kernel;
+  b.run ();
+  finish_run b;
   {
     scenario =
       Printf.sprintf "%s, %s"
@@ -1002,8 +969,8 @@ let fragmentation_run ?(fit = Config.First_fit) ~mixed ~churn () =
         | Config.First_fit -> "first fit"
         | Config.Best_fit -> "best fit");
     churn = churn * List.length images;
-    arena_mb = Units.mb_of_bytes (Kernel.arena_span kernel);
-    live_mb = Units.mb_of_bytes (Kernel.live_area_bytes kernel);
+    arena_mb = Units.mb_of_bytes (Kernel.arena_span b.kernel);
+    live_mb = Units.mb_of_bytes (Kernel.live_area_bytes b.kernel);
   }
 
 let ablate_fragmentation ?(churn = 50) () =

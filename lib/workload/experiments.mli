@@ -156,6 +156,56 @@ val emits_total : unit -> int
     domains — the numerator of the events bench's simulated-events per
     host-second metric. *)
 
+(** {1 The machine lifecycle}
+
+    Every harness run — the experiments below, the CLI and bench front
+    ends, the golden scenarios — boots its machine with {!boot}, runs it,
+    and ends in {!finish_run}. {!run_main} is the whole lifecycle for the
+    common case of one main process whose result the caller wants. *)
+
+(** A booted machine behind one interface, whatever the flavour. *)
+type booted = {
+  kernel : Ufork_sas.Kernel.t;
+  engine : Ufork_sim.Engine.t;
+  start :
+    ?affinity:int ->
+    image:Ufork_sas.Image.t ->
+    (Ufork_sas.Api.t -> unit) ->
+    Ufork_sas.Uproc.t;
+      (** Create an initial process and schedule its main thread. *)
+  run : ?until:int64 -> unit -> unit;
+      (** Run the machine until quiescence (or the given time). *)
+  provenance : bool;  (** Capflow is armed: the final sweep checks R4. *)
+  violations : unit -> Ufork_analysis.Invariant.violation list;
+      (** What the detectors armed at boot found so far. *)
+}
+
+val boot : ?cores:int -> ?config:Ufork_sas.Config.t -> system -> booted
+(** Boot [system] with [cores] (default 4; the current run's [cores]
+    wins) and the flavour's default config unless [config] overrides it:
+    [Config.ufork_fast] for μFork, [Config.ufork_default] (full
+    isolation + TOCTTOU) for [Ufork_toctou], Linux's config and costs for
+    [Linux_ref]. The current run's detectors, chaos row, recording and
+    sampling are armed on the machine. *)
+
+val finish_run : booted -> unit
+(** End a run: the accounting audit, the state sanitizer, the armed
+    detectors' verdict (see below), then the current run's trace and
+    profile sinks are rewritten. *)
+
+val run_main :
+  ?cores:int ->
+  ?config:Ufork_sas.Config.t ->
+  ?affinity:int ->
+  system ->
+  image:Ufork_sas.Image.t ->
+  (Ufork_sas.Api.t -> 'a) ->
+  'a * booted
+(** [run_main system ~image main] boots [system], starts [main] as its
+    one process (pinned to core [affinity] if given), runs the machine to
+    quiescence and calls {!finish_run}. Returns [main]'s result and the
+    finished machine. Fails if [main] never returned. *)
+
 (** {1 Accounting audit and state sanitizer}
 
     Every experiment run checks {!Ufork_sim.Trace.audit} before returning:
@@ -205,9 +255,18 @@ type faas_row = {
   completed : int;
 }
 
-val faas_run : system -> worker_cores:int -> ?window_s:float -> unit -> faas_row
+val faas_run :
+  system ->
+  worker_cores:int ->
+  ?window_s:float ->
+  ?program:Ufork_apps.Mpy.program ->
+  ?locals:int ->
+  unit ->
+  faas_row
 (** Default window: 1 simulated second (rates are per second either
-    way). *)
+    way). Default [program]: FunctionBench float_operation sized to
+    ~0.6 ms; [locals] sizes the workers' interpreter locals (default
+    {!Ufork_apps.Mpy.run}'s). *)
 
 (** {1 Nginx (Fig. 7)} *)
 

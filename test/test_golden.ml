@@ -1,102 +1,15 @@
-(* Golden-trace regression for the System/Fork_spine/Memops refactor.
+(* Golden-trace regression: every meter counter, the engine's advanced
+   cycles and the per-phase span totals of the golden scenarios
+   ({!Golden_scenarios}) must match golden/golden_seed.txt exactly.
+   Each scenario runs through the shared machine lifecycle, so it is
+   also audited, swept and protocol-linted before its dump is compared.
+   Regenerate the recording with golden/golden_dump.exe only for an
+   intentional accounting change, and say so in the commit message. *)
 
-   The refactor batches fork-time page-range events (one [Pte_copy n]
-   per region instead of n singletons) and reorders event-silent steps,
-   but must leave the *accounting* bit-identical: every meter counter
-   and the engine's total advanced cycles must match pre-refactor
-   recordings exactly.
-
-   The expected values live in golden/golden_seed.txt, recorded from the
-   seed tree (commit 52edf5c) by golden/golden_dump.exe. Regenerate the
-   file with that tool only for an *intentional* accounting change, and
-   say so in the commit message. *)
-
-module Engine = Ufork_sim.Engine
-module Meter = Ufork_sim.Meter
-module Trace = Ufork_sim.Trace
-module Kernel = Ufork_sas.Kernel
-module Config = Ufork_sas.Config
-module Image = Ufork_sas.Image
-module Strategy = Ufork_core.Strategy
-module Os = Ufork_core.Os
-module System = Ufork_core.System
-module Monolithic = Ufork_baselines.Monolithic
-module Vmclone = Ufork_baselines.Vmclone
-module Hello = Ufork_apps.Hello
-module Kvstore = Ufork_apps.Kvstore
-module Rdb = Ufork_apps.Rdb
-module Keyspace = Ufork_workload.Keyspace
-module Checker = Ufork_analysis.Checker
-module Lint = Ufork_analysis.Lint
-module Invariant = Ufork_analysis.Invariant
-
-let boot ?(cores = 4) = function
-  | "ufork-copa" ->
-      Os.system
-        (Os.boot ~cores ~config:Config.ufork_fast ~strategy:Strategy.Copa ())
-  | "cheribsd" -> Monolithic.system (Monolithic.boot ~cores ())
-  | "nephele" -> Vmclone.system (Vmclone.boot ~cores ())
-  | s -> invalid_arg s
-
-(* Audit the bus, sweep machine state, and lint the recorded protocol:
-   the golden comparison is only meaningful on a machine that is itself
-   clean. *)
-let finish sys =
-  let k = System.kernel sys in
-  Trace.audit (Kernel.trace k) ~costs:(Kernel.costs k)
-    ~elapsed:(Engine.advanced (System.engine sys));
-  Checker.assert_safe k;
-  match Lint.of_trace (Kernel.trace k) with
-  | [] -> ()
-  | vs -> Alcotest.failf "lint violations:\n%s" (Invariant.report vs)
-
-let dump_lines label sys =
-  Printf.sprintf "SCENARIO %s" label
-  :: Printf.sprintf "advanced %Ld" (Engine.advanced (System.engine sys))
-  :: Printf.sprintf "charged %Ld"
-       (Trace.total_charged (System.trace sys))
-  :: (List.map
-        (fun (k, v) -> Printf.sprintf "METER %s %d" k v)
-        (Meter.to_list (System.meter sys))
-     @ List.map
-         (fun (st : Trace.span_total) ->
-           Printf.sprintf "SPAN %s self %Ld total %Ld n %d"
-             (String.concat ";" st.Trace.span_path)
-             st.Trace.span_self st.Trace.span_cycles st.Trace.span_count)
-         (Trace.span_totals (System.trace sys)))
-
-let hello ?cores ?(tag = "hello") label =
-  let sys = boot ?cores label in
-  Trace.set_recording (System.trace sys) true;
-  ignore
-    (System.start sys ~image:Image.hello (fun api ->
-         ignore (Hello.fork_once api);
-         Hello.reap api));
-  System.run sys;
-  finish sys;
-  dump_lines (tag ^ "/" ^ label) sys
-
-let redis label =
-  let entries = 100 and value_len = 100 * 1024 in
-  let db_bytes = entries * value_len in
-  let heap_bytes = max (4 * 1024 * 1024) (db_bytes * 137 / 100) in
-  let sys = boot label in
-  Trace.set_recording (System.trace sys) true;
-  let result = ref None in
-  ignore
-    (System.start sys ~image:(Image.redis ~heap_bytes) (fun api ->
-         let store = Kvstore.create api ~buckets:1024 () in
-         Keyspace.populate store ~entries ~value_len ~seed:0x5eedL;
-         result := Some (Rdb.bgsave api store ~path:"/dump.rdb")));
-  System.run sys;
-  finish sys;
-  Alcotest.(check bool) "bgsave completed" true (!result <> None);
-  dump_lines ("redis10mb/" ^ label) sys
+let golden_path = "../golden/golden_seed.txt"
 
 (* golden/golden_seed.txt parsed into scenario -> expected lines
    (each block includes its own SCENARIO header line). *)
-let golden_path = "../golden/golden_seed.txt"
-
 let expected_scenarios =
   lazy
     (let ic = open_in golden_path in
@@ -132,25 +45,13 @@ let check_scenario scenario run () =
   in
   Alcotest.(check (list string)) scenario expected (run ())
 
-let scenarios =
-  [
-    ("hello/ufork-copa", fun () -> hello "ufork-copa");
-    ("hello/cheribsd", fun () -> hello "cheribsd");
-    ("hello/nephele", fun () -> hello "nephele");
-    (* 8-core point: pins run-queue / per-core-freelist / shootdown-window
-       accounting above the default 4 cores. *)
-    ("hello-8core/ufork-copa", fun () -> hello ~cores:8 ~tag:"hello-8core" "ufork-copa");
-    ("redis10mb/ufork-copa", fun () -> redis "ufork-copa");
-    ("redis10mb/cheribsd", fun () -> redis "cheribsd");
-    ("redis10mb/nephele", fun () -> redis "nephele");
-  ]
-
 (* Every block in the recording must have a live check — a scenario
-   silently dropped from this file would hollow out the regression. *)
+   silently dropped from the scenario list would hollow out the
+   regression. *)
 let covers_recording () =
   List.iter
     (fun (name, _) ->
-      if not (List.mem_assoc name scenarios) then
+      if not (List.mem_assoc name Golden_scenarios.all) then
         Alcotest.failf "recorded scenario %s has no golden test" name)
     (Lazy.force expected_scenarios)
 
@@ -158,5 +59,5 @@ let suite =
   List.map
     (fun (name, run) ->
       Alcotest.test_case name `Slow (check_scenario name run))
-    scenarios
+    Golden_scenarios.all
   @ [ Alcotest.test_case "recording fully covered" `Quick covers_recording ]

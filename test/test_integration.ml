@@ -182,6 +182,28 @@ let test_fragmentation_shapes () =
         (mixed_bf.E.arena_mb < mixed_ff.E.arena_mb)
   | _ -> Alcotest.fail "expected three scenarios"
 
+(* Each CLI label must boot the machine it names: the TOCTTOU flavour
+   pays for revalidation and Linux runs its own costs, so neither may
+   report the numbers of the flavour it was once mislabelled as.
+   [faas_run] ends in the audit and sanitizer, so returning at all means
+   every run passed them. *)
+let test_flavours_boot_their_label () =
+  let module Mpy = Ufork_apps.Mpy in
+  let matmul sys =
+    let r =
+      E.faas_run sys ~worker_cores:3 ~window_s:0.05
+        ~program:(Mpy.matmul ~n:10) ~locals:(Mpy.matmul_locals ~n:10) ()
+    in
+    (r.E.throughput_per_s, r.E.completed)
+  in
+  let copa = matmul (E.Ufork Strategy.Copa)
+  and toctou = matmul (E.Ufork_toctou Strategy.Copa)
+  and bsd = matmul E.Cheribsd
+  and linux = matmul E.Linux_ref in
+  Alcotest.(check bool) "uFork+TOCTTOU differs from uFork/CoPA" true
+    (toctou <> copa);
+  Alcotest.(check bool) "Linux differs from CheriBSD" true (linux <> bsd)
+
 (* --- Event-bus accounting audit (zero tolerance) --- *)
 
 module Os = Ufork_core.Os
@@ -274,6 +296,8 @@ let suite =
     ("isolation ablation monotone", `Slow, test_ablate_isolation_monotone);
     ("syscall entry ablation", `Quick, test_ablate_syscall_entry);
     ("fragmentation shapes", `Quick, test_fragmentation_shapes);
+    ("flavours boot their label (faas matmul)", `Quick,
+      test_flavours_boot_their_label);
     ("keyspace deterministic", `Quick, test_keyspace_deterministic);
     ("trace audit: hello fork (fig8)", `Quick, test_trace_audit_hello);
     ("trace audit: unixbench (fig9)", `Slow, test_trace_audit_unixbench);
