@@ -246,29 +246,33 @@ let ensure_redis () =
       E.redis_sweep ~systems:redis_systems ~sizes:(redis_sizes ())
         ~jobs:!jobs ()
 
-let rows_for sys =
-  List.filter (fun (r : E.redis_row) -> r.E.system = sys) !redis_rows
+(* [sys]'s sweep point at size [label], if the sweep ran it. *)
+let point sys label =
+  List.find_opt
+    (fun (r : E.redis_row) -> r.E.system = sys && r.E.db_label = label)
+    !redis_rows
+
+(* One Figs. 3-5 table: a row per system, [fmt (field r)] at every swept
+   size, "-" where the sweep has no point. *)
+let redis_table ~header field fmt systems =
+  let labels = List.map (fun (l, _, _) -> l) (redis_sizes ()) in
+  Table.print ~header:(header :: labels)
+    (List.map
+       (fun sys ->
+         E.system_label sys
+         :: List.map
+              (fun l ->
+                match point sys l with Some r -> fmt (field r) | None -> "-")
+              labels)
+       systems)
 
 let fig3 () =
   ensure_redis ();
   section "Fig. 3: Redis DB overall save times (ms)";
-  let labels = List.map (fun (l, _, _) -> l) (redis_sizes ()) in
-  let row sys =
-    E.system_label sys
-    :: List.map
-         (fun l ->
-           match
-             List.find_opt (fun (r : E.redis_row) -> r.E.db_label = l)
-               (rows_for sys)
-           with
-           | Some r -> f1 r.E.save_ms
-           | None -> "-")
-         labels
-  in
-  Table.print
-    ~header:("System (save ms)" :: labels)
-    [ row (E.Ufork Strategy.Copa); row (E.Ufork_toctou Strategy.Copa);
-      row E.Cheribsd ];
+  redis_table ~header:"System (save ms)"
+    (fun (r : E.redis_row) -> r.E.save_ms)
+    f1
+    [ E.Ufork Strategy.Copa; E.Ufork_toctou Strategy.Copa; E.Cheribsd ];
   note
     "Paper: uFork 1.9x faster than CheriBSD at 100 KB (1.8 vs 3.4 ms),\n\
      1.4x at 100 MB (109 vs 158 ms). All dumps verified: %b\n"
@@ -277,35 +281,20 @@ let fig3 () =
 let fig4 () =
   ensure_redis ();
   section "Fig. 4: Redis fork latency (us)";
-  let labels = List.map (fun (l, _, _) -> l) (redis_sizes ()) in
-  let row sys =
-    E.system_label sys
-    :: List.map
-         (fun l ->
-           match
-             List.find_opt (fun (r : E.redis_row) -> r.E.db_label = l)
-               (rows_for sys)
-           with
-           | Some r -> f1 r.E.fork_us
-           | None -> "-")
-         labels
-  in
-  Table.print
-    ~header:("System (fork us)" :: labels)
+  redis_table ~header:"System (fork us)"
+    (fun (r : E.redis_row) -> r.E.fork_us)
+    f1
     [
-      row (E.Ufork Strategy.Copa);
-      row (E.Ufork Strategy.Coa);
-      row (E.Ufork Strategy.Full_copy);
-      row (E.Ufork_toctou Strategy.Copa);
-      row E.Cheribsd;
+      E.Ufork Strategy.Copa;
+      E.Ufork Strategy.Coa;
+      E.Ufork Strategy.Full_copy;
+      E.Ufork_toctou Strategy.Copa;
+      E.Cheribsd;
     ];
   (match
-     ( List.find_opt (fun (r : E.redis_row) -> r.E.db_label = "100 MB")
-         (rows_for (E.Ufork Strategy.Copa)),
-       List.find_opt (fun (r : E.redis_row) -> r.E.db_label = "100 MB")
-         (rows_for (E.Ufork Strategy.Full_copy)),
-       List.find_opt (fun (r : E.redis_row) -> r.E.db_label = "100 MB")
-         (rows_for E.Cheribsd) )
+     ( point (E.Ufork Strategy.Copa) "100 MB",
+       point (E.Ufork Strategy.Full_copy) "100 MB",
+       point E.Cheribsd "100 MB" )
    with
   | Some copa, Some full, Some bsd ->
       note
@@ -320,27 +309,15 @@ let fig4 () =
 let fig5 () =
   ensure_redis ();
   section "Fig. 5: Redis forked-process memory (MB)";
-  let labels = List.map (fun (l, _, _) -> l) (redis_sizes ()) in
-  let row sys =
-    E.system_label sys
-    :: List.map
-         (fun l ->
-           match
-             List.find_opt (fun (r : E.redis_row) -> r.E.db_label = l)
-               (rows_for sys)
-           with
-           | Some r -> f2 r.E.child_mb
-           | None -> "-")
-         labels
-  in
-  Table.print
-    ~header:("System (child MB)" :: labels)
+  redis_table ~header:"System (child MB)"
+    (fun (r : E.redis_row) -> r.E.child_mb)
+    f2
     [
-      row (E.Ufork Strategy.Copa);
-      row (E.Ufork Strategy.Coa);
-      row (E.Ufork Strategy.Full_copy);
-      row E.Cheribsd;
-      row E.Linux_ref;
+      E.Ufork Strategy.Copa;
+      E.Ufork Strategy.Coa;
+      E.Ufork Strategy.Full_copy;
+      E.Cheribsd;
+      E.Linux_ref;
     ];
   note
     "Paper at 100 MB: CoPA 6, CoA 101, full 144, CheriBSD 56, Linux 7 MB.\n"
@@ -482,13 +459,9 @@ let fig9 () =
 let toctou () =
   ensure_redis ();
   section "TOCTTOU protection cost (§5.1)";
-  let pick sys label =
-    List.find_opt (fun (r : E.redis_row) -> r.E.db_label = label)
-      (rows_for sys)
-  in
   let biggest = List.hd (List.rev (redis_sizes ())) in
   let label, _, _ = biggest in
-  (match (pick (E.Ufork Strategy.Copa) label, pick (E.Ufork_toctou Strategy.Copa) label) with
+  (match (point (E.Ufork Strategy.Copa) label, point (E.Ufork_toctou Strategy.Copa) label) with
   | Some base, Some prot ->
       note "Redis fork latency at %s: +%s%% (paper: 2.6%% at 100 MB)\n" label
         (f1 ((prot.E.fork_us /. base.E.fork_us -. 1.) *. 100.))

@@ -2,11 +2,12 @@
    custom parameters.
 
      dune exec bin/ufork_sim.exe -- redis --system ufork-copa --mb 10
-     dune exec bin/ufork_sim.exe -- hello
      dune exec bin/ufork_sim.exe -- faas --cores 3 --window 0.5
      dune exec bin/ufork_sim.exe -- nginx --workers 3
      dune exec bin/ufork_sim.exe -- unixbench
-     dune exec bin/ufork_sim.exe -- meter   # mechanism-event audit *)
+     dune exec bin/ufork_sim.exe -- run hello --system nephele
+     dune exec bin/ufork_sim.exe -- run redis --observe stats   # event audit
+     dune exec bin/ufork_sim.exe -- run storm --cores 64 --check race,lockdep *)
 
 open Cmdliner
 module Strategy = Ufork_core.Strategy
@@ -36,14 +37,13 @@ let system_conv =
   let print ppf s = Format.pp_print_string ppf (E.system_label s) in
   Arg.conv (parse, print)
 
-let system_arg =
-  Arg.(
-    value
-    & opt system_conv (E.Ufork Strategy.Copa)
-    & info [ "system"; "s" ] ~docv:"SYSTEM"
-        ~doc:
-          "OS to run on: ufork-copa (default), ufork-coa, ufork-full, \
-           ufork-toctou, cheribsd, nephele, linux.")
+let system_info =
+  Arg.info [ "system"; "s" ] ~docv:"SYSTEM"
+    ~doc:
+      "OS to run on: ufork-copa (default), ufork-coa, ufork-full, \
+       ufork-toctou, cheribsd, nephele, linux."
+
+let system_arg = Arg.(value & opt system_conv (E.Ufork Strategy.Copa) system_info)
 
 let window_arg =
   Arg.(
@@ -77,17 +77,6 @@ let redis_cmd =
   Cmd.v
     (Cmd.info "redis" ~doc:"Redis BGSAVE experiment (Figs. 3-5)")
     Term.(const run $ system_arg $ mb)
-
-(* hello *)
-let hello_cmd =
-  let run system =
-    let r = E.hello_run system in
-    Printf.printf "%s: fork %.1f us, child memory %.2f MB\n"
-      (E.system_label r.E.system) r.E.fork_latency_us r.E.child_memory_mb
-  in
-  Cmd.v
-    (Cmd.info "hello" ~doc:"hello-world fork microbenchmark (Fig. 8)")
-    Term.(const run $ system_arg)
 
 (* faas *)
 let faas_cmd =
@@ -153,138 +142,74 @@ let unixbench_cmd =
     (Cmd.info "unixbench" ~doc:"Unixbench Spawn and Context1 (Fig. 9)")
     Term.(const run $ const ())
 
-(* meter: run the shared 5 MB Redis save and dump every mechanism
-   counter of the machine it booted. *)
-let meter_cmd =
-  let run system =
-    E.with_run { E.empty_run with profiles = true } (fun () ->
-        ignore (E.run_workload system E.Redis);
-        Printf.printf "Mechanism events for a 5 MB Redis BGSAVE on %s:\n\n"
-          (E.system_label system);
-        List.iter
-          (fun tr ->
-            Format.printf "%a@." Ufork_sim.Meter.pp (Ufork_sim.Trace.meter tr))
-          (E.profiled_traces ()))
-  in
-  Cmd.v
-    (Cmd.info "meter"
-       ~doc:"Audit the mechanism-event counters behind the numbers")
-    Term.(const run $ system_arg)
-
-(* The observer front ends' workload argument, shared by trace, check,
-   explain, profile and stats. *)
-let workload_arg ~verb ~default =
-  Arg.(
-    value
-    & pos 0 (some (enum E.workloads)) None
-    & info [] ~docv:"WORKLOAD"
-        ~doc:
-          (Printf.sprintf
-             "Workload to %s: hello, redis, unixbench, or storm (one \
-              concurrent forker per core). Default: %s."
-             verb default))
-
-let run_observed system w =
-  E.run_workload system (Option.value w ~default:E.Hello)
-
-let cores_arg ~doc =
-  Arg.(value & opt (some int) None & info [ "cores" ] ~docv:"N" ~doc)
-
-(* trace: run an experiment with the event bus recording and write the
-   trace out as JSONL (one record per line) or a Chrome about:tracing
-   file. *)
-let trace_cmd =
-  let out =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "trace-out"; "o" ] ~docv:"FILE"
-          ~doc:"Write the recorded event trace to $(docv).")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("jsonl", E.Jsonl); ("chrome", E.Chrome) ]) E.Jsonl
-      & info [ "format"; "f" ] ~docv:"FMT"
-          ~doc:
-            "Trace encoding: jsonl (default; one JSON record per line) or \
-             chrome (load in chrome://tracing or Perfetto).")
-  in
-  let experiment = workload_arg ~verb:"trace" ~default:"hello" in
-  let run system out format experiment =
-    E.with_run
-      { E.empty_run with trace_out = Some (out, format) }
-      (fun () -> print_endline (run_observed system experiment));
-    (* Ring overflow, if any, was reported to stderr by the flush (the
-       JSONL header line carries the same count). *)
-    Printf.printf "trace written to %s\n" out
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Run an experiment with mechanism-event recording on and write \
-          the trace to a file")
-    Term.(const run $ system_arg $ out $ format $ experiment)
-
-(* check: run a workload with the machine-state sanitizer and trace
-   linter armed; exit non-zero on any invariant violation. *)
-let check_cmd =
+(* run: the one observed run. Every run records its event stream, so
+   the protocol linter (L1-L5) replays it next to the state sweep
+   (S1-S11) and the cycle-accounting audit; the runtime detectors and
+   the observers compose on top, and every failed check takes the same
+   path: the report on stderr, exit 1, the artifacts still written. *)
+let run_cmd =
   let module Invariant = Ufork_analysis.Invariant in
-  (* The runtime invariants a flag arms, in catalogue order. *)
+  let module Causal = Ufork_analysis.Causal in
+  let module Trace = Ufork_sim.Trace in
+  let module Histogram = Ufork_sim.Histogram in
+  (* The runtime invariants [--check] arms, in catalogue order. *)
   let detectors =
     [
       ( Invariant.Data_race,
         "race",
-        "Also arm the happens-before race detector: flag conflicting \
-         shared-state writes with no ordering edge (invariant R1)." );
+        "the happens-before race detector: conflicting shared-state writes \
+         with no ordering edge (R1)" );
       ( Invariant.Lock_order,
         "lockdep",
-        "Also arm the runtime lock-order checker: build the acquisition \
-         graph from the lock instrumentation and flag cycles or \
-         descending pt-shard nestings (invariant R2)." );
+        "the lock-order checker: cycles or descending pt-shard nestings in \
+         the acquisition graph built from the lock instrumentation (R2)" );
       ( Invariant.Lock_stall,
         "stall",
-        "Also arm the lock-stall check: compute the whole run's critical \
-         path and fail when one lock's wait edges cover at least 20% of it \
-         (invariant R3)." );
+        "the lock-stall check: one lock's wait edges cover at least 20% of \
+         the whole run's critical path (R3)" );
       ( Invariant.Cap_provenance,
         "capflow",
-        "Also arm the capability-provenance taint checker: every tagged \
-         capability reachable in a μprocess's pages must carry that \
-         μprocess's provenance — rebased or freshly minted for it, never \
-         the kernel root's (invariant R4). Checked on the capability \
-         store/load stream, at every fork completion, and in the final \
-         state sweep." );
+        "the capability-provenance taint checker: every tagged capability \
+         reachable in a μprocess's pages carries that μprocess's \
+         provenance, checked on the store/load stream, at every fork's end \
+         and in the final sweep (R4)" );
     ]
   in
-  let flag_of inv =
-    let _, flag, _ = List.find (fun (i, _, _) -> i = inv) detectors in
-    "--" ^ flag
+  let detector_name inv =
+    let _, name, _ = List.find (fun (i, _, _) -> i = inv) detectors in
+    name
   in
-  let detect =
-    Term.(
-      List.fold_left
-        (fun acc (inv, name, doc) ->
-          const (fun on rest -> if on then inv :: rest else rest)
-          $ Arg.(value & flag & info [ name ] ~doc)
-          $ acc)
-        (const []) (List.rev detectors))
-  in
-  let system =
+  let workload =
     Arg.(
       value
-      & opt (some system_conv) None
-      & info [ "system"; "s" ] ~docv:"SYSTEM"
+      & pos 0 (some (enum E.workloads)) None
+      & info [] ~docv:"WORKLOAD"
           ~doc:
-            "OS to run on: ufork-copa (default), ufork-coa, ufork-full, \
-             ufork-toctou, cheribsd, nephele, linux.")
+            "Workload to run: hello (default), redis, unixbench, or storm \
+             (one concurrent forker per core).")
   in
-  let experiment = workload_arg ~verb:"check" ~default:"hello" in
+  let system = Arg.(value & opt (some system_conv) None & system_info) in
   let cores =
-    cores_arg
-      ~doc:
-        "Core count to boot the checked machine with (default: the \
-         workload's own, typically 4). The race job sweeps this to 64."
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "cores" ] ~docv:"N"
+          ~doc:
+            "Core count to boot with (default: the workload's own, \
+             typically 4).")
+  in
+  let check =
+    Arg.(
+      value
+      & opt (list (enum (List.map (fun (i, n, _) -> (n, i)) detectors))) []
+      & info [ "check" ] ~docv:"DETECTOR,..."
+          ~doc:
+            ("Arm runtime detectors; any violation fails the run. "
+            ^ String.concat "; "
+                (List.map
+                   (fun (_, n, d) -> Printf.sprintf "$(b,%s) arms %s" n d)
+                   detectors)
+            ^ "."))
   in
   let chaos =
     Arg.(
@@ -301,109 +226,88 @@ let check_cmd =
             "Fault injection: inject chaos row $(docv) and arm the detector \
              its invariant needs. The run must fail with exactly that \
              invariant. $(b,--system), $(b,--cores) and WORKLOAD default to \
-             the row's control. $(b,--chaos list) prints the \
-             table.")
+             the row's control. $(b,--chaos list) prints the table.")
   in
-  let print_table () =
-    Printf.printf "%-20s %-6s %-16s %-12s %-9s %5s  %-9s  %s\n" "chaos"
-      "expect" "subject" "system" "workload" "cores" "detector" "injection";
-    List.iter
-      (fun (c : E.chaos) ->
-        let system, workload, cores = c.E.control in
-        Printf.printf "%-20s %-6s %-16s %-12s %-9s %5d  %-9s  %s\n" c.E.name
-          (Invariant.id c.E.expect)
-          (Option.value c.E.subject ~default:"-")
-          (system_name system) (E.workload_name workload) cores
-          (flag_of c.E.expect) c.E.doc)
-      E.chaos_table
+  let trace_out =
+    let out =
+      Arg.(
+        value
+        & opt (some string) None
+        & info [ "trace-out"; "o" ] ~docv:"FILE"
+            ~doc:"Write the recorded event trace to $(docv).")
+    in
+    let format =
+      Arg.(
+        value
+        & opt (enum [ ("jsonl", E.Jsonl); ("chrome", E.Chrome) ]) E.Jsonl
+        & info [ "format"; "f" ] ~docv:"FMT"
+            ~doc:
+              "Trace encoding: jsonl (default; one JSON record per line) or \
+               chrome (load in chrome://tracing or Perfetto).")
+    in
+    Term.(
+      const (fun out format -> Option.map (fun o -> (o, format)) out)
+      $ out $ format)
   in
-  let run system experiment cores detect chaos =
-    let row =
-      match chaos with
-      | None -> None
-      | Some `List ->
-          print_table ();
-          exit 0
-      | Some (`Row c) -> Some c
-    in
-    let system, experiment, cores =
-      match row with
-      | None ->
-          ( Option.value system ~default:(E.Ufork Strategy.Copa),
-            Option.value experiment ~default:E.Hello,
-            cores )
-      | Some c ->
-          let s, w, n = c.E.control in
-          ( Option.value system ~default:s,
-            Option.value experiment ~default:w,
-            Some (Option.value cores ~default:n) )
-    in
-    let armed =
-      List.filter
-        (fun (inv, _, _) ->
-          List.mem inv detect
-          || Option.fold ~none:false ~some:(fun c -> c.E.expect = inv) row)
-        detectors
-    in
-    let name = E.workload_name experiment in
-    (* Record the event stream even without a trace sink so the protocol
-       linter (L1-L5) has something to replay; the state sweep (S1-S11)
-       and the cycle-accounting audit run at the end of every machine's
-       run regardless. *)
-    let r =
-      {
-        E.empty_run with
-        record = true;
-        cores;
-        detect;
-        chaos = Option.map (fun c -> c.E.name) row;
-      }
-    in
-    match E.with_run r (fun () -> E.check system experiment) with
-    | Error report ->
-        Printf.eprintf "check %s on %s: FAILED\n%s\n" name
-          (E.system_label system) report;
-        exit 1
-    | Ok () ->
-        Printf.printf
-          "check %s on %s: clean — state invariants S1-S11, protocol rules \
-           L1-L5%s, cycle accounting\n"
-          name (E.system_label system)
-          (String.concat ""
-             (List.map
-                (fun (inv, _, _) ->
-                  Printf.sprintf ", %s %s" (Invariant.name inv)
-                    (Invariant.id inv))
-                armed))
-  in
-  Cmd.v
-    (Cmd.info "check"
-       ~doc:
-         "Run a workload under the machine-state sanitizer and trace \
-          protocol linter; non-zero exit on any violation")
-    Term.(const run $ system $ experiment $ cores $ detect $ chaos)
-
-(* explain: run a workload with the causal collector armed, then compute
-   and report the critical path of a fork window (or any interval) —
-   what bounded wall time, which spans it ran through, and which lock
-   waits it crossed. *)
-let explain_cmd =
-  let module Causal = Ufork_analysis.Causal in
-  let experiment = workload_arg ~verb:"explain" ~default:"redis" in
-  let cores =
-    cores_arg ~doc:"Core count to boot with (default: the workload's own)."
-  in
-  let fork_n =
+  let observe =
     Arg.(
-      value & opt int 0
-      & info [ "fork" ] ~docv:"N"
+      value
+      & opt
+          (list
+             (enum
+                [
+                  ("profile", `Profile); ("stats", `Stats);
+                  ("explain", `Explain);
+                ]))
+          []
+      & info [ "observe" ] ~docv:"OBSERVER,..."
           ~doc:
-            "Analyze the $(docv)th completed fork window (\"fork\" span \
-             open to close, anchored at the forker). Default 0; ignored \
-             with $(b,--interval).")
+            "Report observers after the run: $(b,profile) (folded-stack \
+             flamegraph plus per-span latency histograms, p50/p90/p99/max), \
+             $(b,stats) (Prometheus snapshot of the counters, spans and lock \
+             contention, from virtual-time gauge sampling) and $(b,explain) \
+             (the weighted critical path of a fork window, span-level blame \
+             and the top lock wait chains).")
   in
-  let interval =
-    let interval_conv =
+  let flame_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "flame-out" ] ~docv:"FILE"
+          ~doc:
+            "Profile, writing the folded flamegraph stacks to $(docv) \
+             instead of stdout (feed to flamegraph.pl or \
+             inferno-flamegraph).")
+  in
+  let csv_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "csv-out" ] ~docv:"FILE"
+          ~doc:
+            "Stats, also writing the sampled time series as CSV to $(docv) \
+             (one block per booted machine, blocks separated by a blank \
+             line).")
+  in
+  let sample_interval =
+    Arg.(
+      value & opt int 250_000
+      & info [ "sample-interval" ] ~docv:"CYCLES"
+          ~doc:
+            "Stats gauge-sampling interval in simulated cycles (default \
+             250000 = 100 us at the simulated 2.5 GHz clock).")
+  in
+  let explain =
+    let fork_n =
+      Arg.(
+        value & opt int 0
+        & info [ "fork" ] ~docv:"N"
+            ~doc:
+              "Explain the $(docv)th completed fork window (\"fork\" span \
+               open to close, anchored at the forker). Default 0; ignored \
+               with $(b,--interval).")
+    in
+    let interval =
       let parse s =
         match String.index_opt s ':' with
         | Some i -> (
@@ -415,240 +319,239 @@ let explain_cmd =
         | None -> Error (`Msg (Printf.sprintf "bad interval %S (want A:B)" s))
       in
       let print ppf (a, b) = Format.fprintf ppf "%Ld:%Ld" a b in
-      Arg.conv (parse, print)
+      Arg.(
+        value
+        & opt (some (conv (parse, print))) None
+        & info [ "interval" ] ~docv:"A:B"
+            ~doc:
+              "Explain the cycle interval [$(docv)] instead of a fork \
+               window (anchor picked automatically).")
     in
-    Arg.(
-      value
-      & opt (some interval_conv) None
-      & info [ "interval" ] ~docv:"A:B"
-          ~doc:
-            "Analyze the cycle interval [$(docv)] instead of a fork \
-             window (anchor picked automatically).")
-  in
-  let top =
-    Arg.(
-      value & opt int 5
-      & info [ "top" ] ~docv:"K"
-          ~doc:"Report the top $(docv) wait chains (default 5).")
-  in
-  let dot_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "dot" ] ~docv:"FILE"
-          ~doc:"Write the critical path as a Graphviz digraph to $(docv).")
-  in
-  let json_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the full analysis (segments, blame, chains, \
-                per-lock waits) as JSON to $(docv).")
-  in
-  let chrome_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "chrome-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the critical path as a Chrome about:tracing / \
-             Perfetto JSON file to $(docv).")
-  in
-  let run system experiment cores fork_n interval top dot_out json_out
-      chrome_out =
-    let r = { E.empty_run with causal = true; cores } in
-    E.with_run r (fun () ->
-        (match E.check system (Option.value experiment ~default:E.Redis) with
-        | Ok () -> ()
-        | Error report ->
-            Printf.eprintf "explain: workload failed its safety check\n%s\n"
-              report;
-            exit 1);
-        let g =
-          match E.causal_graph () with
-          | Some g -> g
-          | None ->
-              Printf.eprintf "explain: no causal graph collected\n";
-              exit 1
-        in
-        let report =
-          try
-            match interval with
-            | Some (a, b) -> Causal.analyze g ~t0:a ~t1:b ()
-            | None -> Causal.analyze_fork g fork_n
-          with
-          | Causal.Audit_failure msg ->
-              Printf.eprintf "explain: path audit FAILED: %s\n" msg;
-              exit 1
-          | Invalid_argument msg ->
-              Printf.eprintf "explain: %s\n" msg;
-              exit 1
-        in
-        Format.printf "%a@." (Causal.pp_report ~top) report;
-        Option.iter
-          (fun path ->
-            E.write_artifact path (fun oc ->
-                output_string oc (Causal.to_dot report));
-            Printf.printf "dot graph written to %s\n" path)
-          dot_out;
-        Option.iter
-          (fun path ->
-            E.write_artifact path (fun oc ->
-                output_string oc (Causal.to_json report));
-            Printf.printf "analysis JSON written to %s\n" path)
-          json_out;
-        Option.iter
-          (fun path ->
-            E.write_artifact path (fun oc ->
-                output_string oc (Causal.to_chrome report));
-            Printf.printf "chrome trace written to %s\n" path)
-          chrome_out)
-  in
-  Cmd.v
-    (Cmd.info "explain"
-       ~doc:
-         "Run a workload with the causal collector armed and report why \
-          a fork window (or any interval) took as long as it did: the \
-          weighted critical path, span-level blame, and the top lock \
-          wait chains")
+    let top =
+      Arg.(
+        value & opt int 5
+        & info [ "top" ] ~docv:"K"
+            ~doc:"Explain: report the top $(docv) wait chains (default 5).")
+    in
+    let artifact name doc =
+      Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
+    in
     Term.(
-      const run $ system_arg $ experiment $ cores $ fork_n $ interval $ top
-      $ dot_out $ json_out $ chrome_out)
-
-(* profile: run an experiment with span attribution and print/export the
-   folded-stack flamegraph plus per-span latency histograms. *)
-let profile_cmd =
-  let module Trace = Ufork_sim.Trace in
-  let module Histogram = Ufork_sim.Histogram in
-  let flame_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "flame-out"; "o" ] ~docv:"FILE"
-          ~doc:
-            "Write the folded flamegraph stacks to $(docv) instead of \
-             stdout (feed to flamegraph.pl or inferno-flamegraph).")
+      const (fun fork_n interval top dot json chrome ->
+          ( fork_n,
+            interval,
+            top,
+            [
+              (dot, "dot graph", Causal.to_dot);
+              (json, "analysis JSON", Causal.to_json);
+              (chrome, "chrome trace", Causal.to_chrome);
+            ] ))
+      $ fork_n $ interval $ top
+      $ artifact "dot"
+          "Explain, writing the critical path as a Graphviz digraph to \
+           $(docv)."
+      $ artifact "json"
+          "Explain, writing the full analysis (segments, blame, chains, \
+           per-lock waits) as JSON to $(docv)."
+      $ artifact "chrome-out"
+          "Explain, writing the critical path as a Chrome about:tracing / \
+           Perfetto JSON file to $(docv).")
   in
-  let experiment = workload_arg ~verb:"profile" ~default:"hello" in
-  let run system flame_out experiment =
-    E.with_run { E.empty_run with profiles = true } (fun () ->
-        print_endline (run_observed system experiment);
-        let traces = E.profiled_traces () in
-        let folded =
-          String.concat "" (List.map Trace.folded_stacks traces)
-        in
-        if String.trim folded = "" then begin
-          Printf.eprintf "profile: no cycles attributed (empty flamegraph)\n";
-          exit 1
-        end;
-        (match flame_out with
-        | Some path ->
-            E.write_artifact path (fun oc -> output_string oc folded);
-            Printf.printf "flamegraph stacks written to %s\n" path
-        | None ->
-            print_newline ();
-            print_string folded);
-        (* Merge each span name's duration histogram across the machines
-           this experiment booted (comparative runs boot several). *)
-        let merged = Hashtbl.create 16 in
-        List.iter
-          (fun tr ->
-            List.iter
-              (fun (name, h) ->
-                Hashtbl.replace merged name
-                  (match Hashtbl.find_opt merged name with
-                  | Some prev -> Histogram.merge prev h
-                  | None -> h))
-              (Trace.span_histograms tr))
-          traces;
-        let rows =
-          List.sort compare
-            (Hashtbl.fold (fun k v acc -> (k, v) :: acc) merged [])
-        in
-        Printf.printf "\n%-24s %8s %12s %12s %12s %12s\n" "span" "count"
-          "p50(us)" "p90(us)" "p99(us)" "max(us)";
-        List.iter
-          (fun (name, h) ->
-            let us q = Units.us_of_cycles (Histogram.quantile h q) in
-            Printf.printf "%-24s %8d %12.2f %12.2f %12.2f %12.2f\n" name
-              (Histogram.count h) (us 0.5) (us 0.9) (us 0.99)
-              (Units.us_of_cycles (Histogram.max_value h)))
-          rows)
+  let print_table () =
+    Printf.printf "%-20s %-6s %-16s %-12s %-9s %5s  %-9s  %s\n" "chaos"
+      "expect" "subject" "system" "workload" "cores" "detector" "injection";
+    List.iter
+      (fun (c : E.chaos) ->
+        let system, workload, cores = c.E.control in
+        Printf.printf "%-20s %-6s %-16s %-12s %-9s %5d  %-9s  %s\n" c.E.name
+          (Invariant.id c.E.expect)
+          (Option.value c.E.subject ~default:"-")
+          (system_name system) (E.workload_name workload) cores
+          (detector_name c.E.expect) c.E.doc)
+      E.chaos_table
   in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "Run an experiment with phase-attribution spans and emit a \
-          folded-stack flamegraph plus per-span latency histograms \
-          (p50/p90/p99/max)")
-    Term.(const run $ system_arg $ flame_out $ experiment)
-
-(* stats: run an experiment with virtual-time gauge sampling and dump a
-   Prometheus-style snapshot plus the time series as CSV. *)
-let stats_cmd =
-  let module Trace = Ufork_sim.Trace in
-  let interval =
-    Arg.(
-      value & opt int 250_000
-      & info [ "interval"; "i" ] ~docv:"CYCLES"
-          ~doc:
-            "Gauge-sampling interval in simulated cycles (default 250000 \
-             = 100 us at the simulated 2.5 GHz clock).")
-  in
-  let csv_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "csv-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the sampled time series as CSV to $(docv) (one block \
-             per booted machine, blocks separated by a blank line).")
-  in
-  let experiment = workload_arg ~verb:"sample" ~default:"hello" in
-  let run system interval csv_out experiment =
-    if interval <= 0 then begin
-      Printf.eprintf "stats: --interval must be positive\n";
+  let report_profile flame_out =
+    let traces = E.profiled_traces () in
+    let folded = String.concat "" (List.map Trace.folded_stacks traces) in
+    if String.trim folded = "" then begin
+      Printf.eprintf "profile: no cycles attributed (empty flamegraph)\n";
       exit 1
     end;
-    Ufork_sim.Sync.reset_lock_contention ();
-    E.with_run
-      {
-        E.empty_run with
-        profiles = true;
-        sample_interval = Some (Int64.of_int interval);
-      }
-      (fun () ->
-        print_endline (run_observed system experiment);
-        let traces = E.profiled_traces () in
+    (match flame_out with
+    | Some path -> Printf.printf "flamegraph stacks written to %s\n" path
+    | None ->
         print_newline ();
-        List.iter (fun tr -> print_string (Trace.to_prometheus_string tr)) traces;
-        (* Per-lock contention counters from every machine this run
-           booted, in the same Prometheus text format. *)
-        print_string (Ufork_sim.Sync.lock_contention_prometheus ());
-        match csv_out with
-        | None -> ()
-        | Some path ->
-            E.write_artifact path (fun oc ->
-                List.iteri
-                  (fun i tr ->
-                    if i > 0 then output_char oc '\n';
-                    output_string oc (Trace.samples_csv tr))
-                  traces);
-            let samples =
-              List.fold_left
-                (fun acc tr -> acc + List.length (Trace.samples tr))
-                0 traces
-            in
-            Printf.printf "%d sample(s) written to %s\n" samples path)
+        print_string folded);
+    (* Merge each span name's duration histogram across the machines
+       this workload booted (comparative runs boot several). *)
+    let merged = Hashtbl.create 16 in
+    List.iter
+      (fun tr ->
+        List.iter
+          (fun (name, h) ->
+            Hashtbl.replace merged name
+              (match Hashtbl.find_opt merged name with
+              | Some prev -> Histogram.merge prev h
+              | None -> h))
+          (Trace.span_histograms tr))
+      traces;
+    let rows =
+      List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) merged [])
+    in
+    Printf.printf "\n%-24s %8s %12s %12s %12s %12s\n" "span" "count"
+      "p50(us)" "p90(us)" "p99(us)" "max(us)";
+    List.iter
+      (fun (name, h) ->
+        let us q = Units.us_of_cycles (Histogram.quantile h q) in
+        Printf.printf "%-24s %8d %12.2f %12.2f %12.2f %12.2f\n" name
+          (Histogram.count h) (us 0.5) (us 0.9) (us 0.99)
+          (Units.us_of_cycles (Histogram.max_value h)))
+      rows
+  in
+  let report_stats csv_out =
+    let traces = E.profiled_traces () in
+    print_newline ();
+    List.iter (fun tr -> print_string (Trace.to_prometheus_string tr)) traces;
+    (* Per-lock contention counters from every machine this run booted,
+       in the same Prometheus text format. *)
+    print_string (Ufork_sim.Sync.lock_contention_prometheus ());
+    Option.iter
+      (fun path ->
+        E.write_artifact path (fun oc ->
+            List.iteri
+              (fun i tr ->
+                if i > 0 then output_char oc '\n';
+                output_string oc (Trace.samples_csv tr))
+              traces);
+        let samples =
+          List.fold_left
+            (fun acc tr -> acc + List.length (Trace.samples tr))
+            0 traces
+        in
+        Printf.printf "%d sample(s) written to %s\n" samples path)
+      csv_out
+  in
+  let report_explain (fork_n, interval, top, artifacts) =
+    let g =
+      match E.causal_graph () with
+      | Some g -> g
+      | None ->
+          Printf.eprintf "explain: no causal graph collected\n";
+          exit 1
+    in
+    let report =
+      try
+        match interval with
+        | Some (a, b) -> Causal.analyze g ~t0:a ~t1:b ()
+        | None -> Causal.analyze_fork g fork_n
+      with
+      | Causal.Audit_failure msg ->
+          Printf.eprintf "explain: path audit FAILED: %s\n" msg;
+          exit 1
+      | Invalid_argument msg ->
+          Printf.eprintf "explain: %s\n" msg;
+          exit 1
+    in
+    Format.printf "%a@." (Causal.pp_report ~top) report;
+    List.iter
+      (fun (path, what, render) ->
+        Option.iter
+          (fun path ->
+            E.write_artifact path (fun oc -> output_string oc (render report));
+            Printf.printf "%s written to %s\n" what path)
+          path)
+      artifacts
+  in
+  let run system workload cores checks chaos trace_out observe flame_out
+      csv_out sample_interval explain =
+    let row =
+      match chaos with
+      | None -> None
+      | Some `List ->
+          print_table ();
+          exit 0
+      | Some (`Row c) -> Some c
+    in
+    let system, workload, cores =
+      match row with
+      | None ->
+          ( Option.value system ~default:(E.Ufork Strategy.Copa),
+            Option.value workload ~default:E.Hello,
+            cores )
+      | Some c ->
+          let s, w, n = c.E.control in
+          ( Option.value system ~default:s,
+            Option.value workload ~default:w,
+            Some (Option.value cores ~default:n) )
+    in
+    let _, _, _, artifacts = explain in
+    let profile = List.mem `Profile observe || Option.is_some flame_out in
+    let stats = List.mem `Stats observe || Option.is_some csv_out in
+    let explaining =
+      List.mem `Explain observe
+      || List.exists (fun (path, _, _) -> Option.is_some path) artifacts
+    in
+    if stats && sample_interval <= 0 then begin
+      Printf.eprintf "run: --sample-interval must be positive\n";
+      exit 1
+    end;
+    let r =
+      {
+        E.cores;
+        record = true;
+        detect = checks;
+        chaos = Option.map (fun c -> c.E.name) row;
+        trace_out;
+        profile_out = flame_out;
+        profiles = profile || stats;
+        sample_interval =
+          (if stats then Some (Int64.of_int sample_interval) else None);
+        causal = explaining;
+      }
+    in
+    let name = E.workload_name workload and label = E.system_label system in
+    E.with_run r (fun () ->
+        match E.check system workload with
+        | Error report ->
+            Printf.eprintf "check %s on %s: FAILED\n%s\n" name label report;
+            exit 1
+        | Ok summary ->
+            print_endline summary;
+            Option.iter
+              (fun (path, _) -> Printf.printf "trace written to %s\n" path)
+              trace_out;
+            if profile then report_profile flame_out;
+            if stats then report_stats csv_out;
+            if explaining then report_explain explain;
+            Printf.printf
+              "check %s on %s: clean — state invariants S1-S11, protocol \
+               rules L1-L5%s, cycle accounting\n"
+              name label
+              (String.concat ""
+                 (List.filter_map
+                    (fun (inv, _, _) ->
+                      if
+                        List.mem inv checks
+                        || Option.fold ~none:false
+                             ~some:(fun c -> c.E.expect = inv)
+                             row
+                      then
+                        Some
+                          (Printf.sprintf ", %s %s" (Invariant.name inv)
+                             (Invariant.id inv))
+                      else None)
+                    detectors)))
   in
   Cmd.v
-    (Cmd.info "stats"
+    (Cmd.info "run"
        ~doc:
-         "Run an experiment with virtual-time gauge sampling (frames in \
-          use, CoW-pending pages, per-process RSS) and dump a \
-          Prometheus-style snapshot plus the time series as CSV")
-    Term.(const run $ system_arg $ interval $ csv_out $ experiment)
+         "Run a workload under the machine-state sanitizer, the trace \
+          protocol linter and the cycle-accounting audit, with any \
+          combination of runtime detectors and observers; non-zero exit \
+          on any violation")
+    Term.(
+      const run $ system $ workload $ cores $ check $ chaos $ trace_out
+      $ observe $ flame_out $ csv_out $ sample_interval $ explain)
 
 (* ablate *)
 let ablate_cmd =
@@ -778,7 +681,6 @@ let () =
     (Cmd.eval
        (Cmd.group ~default info
           [
-            redis_cmd; hello_cmd; faas_cmd; nginx_cmd; unixbench_cmd;
-            meter_cmd; trace_cmd; check_cmd; explain_cmd; lint_cmd;
-            profile_cmd; stats_cmd; ablate_cmd;
+            redis_cmd; faas_cmd; nginx_cmd; unixbench_cmd; run_cmd; lint_cmd;
+            ablate_cmd;
           ]))

@@ -149,8 +149,8 @@ let causal_graph () = collected_or None (fun c -> c.graph)
 
 (* {2 Workloads}
 
-   The small runs every observer front end shares ([check], [explain],
-   [trace], [profile], [stats]) and the chaos controls name. *)
+   The small runs the observed-run front end ([ufork_sim run]) and the
+   chaos controls name. *)
 
 type workload = Hello | Redis | Unixbench | Storm
 
@@ -401,17 +401,23 @@ let audit_booted b =
   Trace.audit (Kernel.trace b.kernel) ~costs:(Kernel.costs b.kernel)
     ~elapsed:(Engine.advanced b.engine)
 
+let flush_installed () =
+  match !installed with Some (r, c) -> flush_sinks r c | None -> ()
+
+(* The sinks are flushed whatever the verdict: a run that fails its
+   audit is the one whose trace someone needs. *)
 let finish_run b =
   ignore (Atomic.fetch_and_add emits_acc (Trace.emits (Kernel.trace b.kernel)));
-  audit_booted b;
-  (* The state sanitizer next to the accounting audit: a run that
-     corrupted machine state must not report numbers. The lint half sees
-     the recorded stream, so it is active whenever recording is. *)
-  Checker.assert_safe ~provenance:b.provenance b.kernel;
-  (match b.violations () with
-  | [] -> ()
-  | vs -> raise (Checker.Unsafe (Invariant.report vs)));
-  match !installed with Some (r, c) -> flush_sinks r c | None -> ()
+  Fun.protect ~finally:flush_installed (fun () ->
+      audit_booted b;
+      (* The state sanitizer next to the accounting audit: a run that
+         corrupted machine state must not report numbers. The lint half
+         sees the recorded stream, so it is active whenever recording
+         is. *)
+      Checker.assert_safe ~provenance:b.provenance b.kernel;
+      match b.violations () with
+      | [] -> ()
+      | vs -> raise (Checker.Unsafe (Invariant.report vs)))
 
 (* Every flavour boots down to the same {!Ufork_core.System.t}; the
    uniform interface is one projection, not five hand-rolled records. *)
@@ -826,14 +832,21 @@ let run_workload system = function
       Printf.sprintf "%s: %d forks on %d cores, %.0f forks/s"
         (system_label system) r.forks r.cores r.forks_per_s
 
+(* A failure raised mid-run (the capflow fork probe, a capability
+   fault) skips [finish_run], so the sinks are flushed here too. *)
 let check system workload =
+  let failed report =
+    flush_installed ();
+    Error report
+  in
   match run_workload system workload with
-  | _ -> Ok ()
-  | exception Checker.Unsafe report -> Error report
-  | exception Trace.Audit_failure msg -> Error ("accounting audit: " ^ msg)
-  | exception Causal.Audit_failure msg -> Error ("critical-path audit: " ^ msg)
+  | summary -> Ok summary
+  | exception Checker.Unsafe report -> failed report
+  | exception Trace.Audit_failure msg -> failed ("accounting audit: " ^ msg)
+  | exception Causal.Audit_failure msg ->
+      failed ("critical-path audit: " ^ msg)
   | exception Capability.Violation msg ->
-      Error ("architectural capability violation: " ^ msg)
+      failed ("architectural capability violation: " ^ msg)
 
 (* {1 Ablations} *)
 

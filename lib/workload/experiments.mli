@@ -90,8 +90,8 @@ val write_artifact : string -> (out_channel -> unit) -> unit
 
 (** {1 Observer workloads} *)
 
-(** The small runs the observer front ends share ([check], [explain],
-    [trace], [profile], [stats]): Fig. 8's hello, a 5 MB Redis BGSAVE
+(** The small runs the observed-run front end ([ufork_sim run]) and the
+    chaos controls share: Fig. 8's hello, a 5 MB Redis BGSAVE
     (50 x 100 KiB), Unixbench with 50 spawns and 500 round trips, and
     the fork storm (one forker per core, 4 forks each). *)
 type workload = Hello | Redis | Unixbench | Storm
@@ -101,14 +101,13 @@ val workloads : (string * workload) list
 
 val workload_name : workload -> string
 
-val run_workload : system -> workload -> string
-(** Run one workload under the current run and return a one-line
-    summary. The storm uses the run's [cores] (default 4) forkers. *)
-
-val check : system -> workload -> (unit, string) result
-(** {!run_workload}, with every failed check turned into [Error report]:
-    an invariant violation, a failed accounting or critical-path audit,
-    or an architectural capability violation. *)
+val check : system -> workload -> (string, string) result
+(** Run one workload under the current run. [Ok summary] is a one-line
+    summary of its result; every failed check becomes [Error report]: an
+    invariant violation, a failed accounting or critical-path audit, or
+    an architectural capability violation. The storm uses the run's
+    [cores] (default 4) forkers. The current run's sinks are written
+    either way. *)
 
 (** {1 The chaos table}
 
@@ -191,7 +190,8 @@ val boot : ?cores:int -> ?config:Ufork_sas.Config.t -> system -> booted
 val finish_run : booted -> unit
 (** End a run: the accounting audit, the state sanitizer, the armed
     detectors' verdict (see below), then the current run's trace and
-    profile sinks are rewritten. *)
+    profile sinks are rewritten — also when a check fails, before its
+    exception propagates. *)
 
 val run_main :
   ?cores:int ->

@@ -124,7 +124,7 @@ let chaos_row_case (c : E.chaos) =
           (fun () -> E.check system workload)
       in
       (match checked { E.empty_run with chaos = Some c.E.name } with
-      | Ok () -> Alcotest.failf "%s: injected control passed" c.E.name
+      | Ok _ -> Alcotest.failf "%s: injected control passed" c.E.name
       | Error report ->
           let lines = violation_lines report in
           Alcotest.(check bool) "at least one violation" true (lines <> []);
@@ -143,9 +143,78 @@ let chaos_row_case (c : E.chaos) =
                 c.E.subject)
             lines);
       match checked { E.empty_run with detect = [ c.E.expect ] } with
-      | Ok () -> ()
+      | Ok _ -> ()
       | Error report ->
           Alcotest.failf "%s: uninjected twin failed\n%s" c.E.name report )
+
+(* A run that fails its check is the run whose trace someone needs: the
+   sinks are written before the failure propagates. *)
+let test_failed_run_keeps_trace () =
+  let path = Filename.temp_file "ufork_failed_run" ".jsonl" in
+  Sys.remove path;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let r =
+        {
+          E.empty_run with
+          trace_out = Some (path, E.Jsonl);
+          chaos = Some "no-bkl";
+        }
+      in
+      (match E.with_run r (fun () -> E.check (E.Ufork Strategy.Copa) E.Hello) with
+      | Ok _ -> Alcotest.fail "no-bkl control passed"
+      | Error _ -> ());
+      Alcotest.(check bool) "trace written" true
+        (Sys.file_exists path
+        && In_channel.with_open_bin path In_channel.length > 0L))
+
+(* Every observer is passive: recording, profiles, gauge sampling, the
+   causal collector and the R1/R2/R4 detectors armed together leave the
+   workload's summary and every mechanism counter exactly as the plain
+   run has them. ([profiles] only keeps a handle on each machine's
+   trace, so the plain run's meters can be read.) R3 stays off: the
+   storm's lock.uproc_table convoy trips it with or without observers. *)
+let test_observers_passive () =
+  let observed r system workload =
+    E.with_run
+      { r with E.profiles = true; cores = Some 4 }
+      (fun () ->
+        let summary = E.check system workload in
+        ( summary,
+          List.map
+            (fun tr -> Ufork_sim.Meter.to_list (Ufork_sim.Trace.meter tr))
+            (E.profiled_traces ()) ))
+  in
+  let all_observers =
+    {
+      E.empty_run with
+      record = true;
+      sample_interval = Some 250_000L;
+      causal = true;
+      detect = [ Invariant.Data_race; Invariant.Lock_order; Invariant.Cap_provenance ];
+    }
+  in
+  List.iter
+    (fun (system, workload) ->
+      let what =
+        Printf.sprintf "%s on %s" (E.workload_name workload)
+          (E.system_label system)
+      in
+      let plain_summary, plain_meters = observed E.empty_run system workload in
+      let summary, meters = observed all_observers system workload in
+      Alcotest.(check (result string string)) (what ^ ": summary")
+        plain_summary summary;
+      Alcotest.(check bool) (what ^ ": plain run passed") true
+        (Result.is_ok plain_summary);
+      Alcotest.(check (list (list (pair string int))))
+        (what ^ ": meters") plain_meters meters)
+    [
+      (E.Ufork Strategy.Copa, E.Storm);
+      (E.Ufork Strategy.Copa, E.Redis);
+      (E.Cheribsd, E.Storm);
+      (E.Cheribsd, E.Redis);
+    ]
 
 let suite =
   [
@@ -162,3 +231,7 @@ let suite =
         test_table_covers_runtime_invariants );
     ]
   @ List.map chaos_row_case E.chaos_table
+  @ [
+      ("failed run keeps its trace", `Quick, test_failed_run_keeps_trace);
+      ("observers compose and stay passive", `Quick, test_observers_passive);
+    ]

@@ -1,4 +1,4 @@
-(* ufork_lint precision tests, mirroring the chaos methodology of
+(* Discipline-linter precision tests, mirroring the chaos methodology of
    test_analysis: every rule in the catalogue is exercised by a fixture
    that seeds exactly one violation, and the false-positive controls
    (banned names in comments/strings, innocent aliases, discharged

@@ -237,9 +237,8 @@ let all =
 
 (* {1 Catalogue rendering}
 
-   Shared by both drivers ([ufork_lint --list] and [ufork_sim lint
-   --list]) so the rule table cannot drift between them; [--md] emits
-   the table DESIGN.md checks in. *)
+   Printed by [ufork_sim lint --list]; [--md] emits the table DESIGN.md
+   checks in. *)
 
 let print_catalogue ~md () =
   if md then begin
