@@ -19,6 +19,7 @@ module Config = Ufork_sas.Config
 module Strategy = Ufork_core.Strategy
 module E = Ufork_workload.Experiments
 module Keyspace = Ufork_workload.Keyspace
+module Engine = Ufork_sim.Engine
 
 let section title =
   Printf.printf "\n=== %s ===\n%!" title
@@ -1004,12 +1005,20 @@ let main targets quick_flag jobs_flag cores sweep smp_out_flag
         List.map
           (fun n ->
             match int_of_string_opt (String.trim n) with
-            | Some v when v > 0 -> v
+            | Some v when v >= 1 && v <= Engine.max_cores -> v
             | Some _ | None ->
                 Printf.eprintf "bad --cores-sweep entry %S\n" n;
                 exit 2)
           (String.split_on_char ',' s)
   | None -> ());
+  Option.iter
+    (fun n ->
+      if n < 1 || n > Engine.max_cores then begin
+        Printf.eprintf "bench: --cores must be between 1 and %d (got %d)\n"
+          Engine.max_cores n;
+        exit 2
+      end)
+    cores;
   (match smp_out_flag with Some p -> smp_out := p | None -> ());
   smp_baseline := smp_baseline_flag;
   smp_max_regress_pct := max_regress;

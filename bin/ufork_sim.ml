@@ -13,6 +13,7 @@ open Cmdliner
 module Strategy = Ufork_core.Strategy
 module E = Ufork_workload.Experiments
 module Units = Ufork_util.Units
+module Engine = Ufork_sim.Engine
 
 let systems =
   [
@@ -495,6 +496,14 @@ let run_cmd =
       Printf.eprintf "run: --sample-interval must be positive\n";
       exit 1
     end;
+    Option.iter
+      (fun n ->
+        if n < 1 || n > Engine.max_cores then begin
+          Printf.eprintf "run: --cores must be between 1 and %d (got %d)\n"
+            Engine.max_cores n;
+          exit 1
+        end)
+      cores;
     let r =
       {
         E.cores;
@@ -650,7 +659,7 @@ let lint_cmd =
       List.iter (fun f -> Format.printf "%a@." Lint.pp_finding f) findings;
       if findings = [] then
         Printf.printf
-          "lint: clean — %d rules (D1-D13) over lib/, bin/, bench/, tools/ \
+          "lint: clean — %d rules (D1-D14) over lib/, bin/, bench/, tools/ \
            (%d files)\n"
           (List.length Rules.all)
           (List.length (Lint.tree_files root))

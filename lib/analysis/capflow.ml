@@ -75,8 +75,6 @@ type t = {
   seen : (int * int, unit) Hashtbl.t;  (* (addr, prov) dedup *)
 }
 
-let create kernel = { kernel; violations_rev = []; seen = Hashtbl.create 64 }
-
 let check t ~what ~addr ~prov =
   match attributable t.kernel addr with
   | None -> ()
@@ -91,6 +89,11 @@ let handle t = function
   | Hb.Cap_store { addr; prov; _ } -> check t ~what:"stored" ~addr ~prov
   | Hb.Cap_load { addr; prov; _ } -> check t ~what:"loaded" ~addr ~prov
   | _ -> ()
+
+let create kernel =
+  let t = { kernel; violations_rev = []; seen = Hashtbl.create 64 } in
+  Hb.subscribe (Ufork_sim.Engine.bus (Kernel.engine kernel)) (handle t);
+  t
 
 let violations t = List.rev t.violations_rev
 

@@ -15,12 +15,10 @@ type t
     MMU paths publish and accuses provenance mismatches as they flow. *)
 
 val create : Ufork_sas.Kernel.t -> t
-(** [create k] resolves event addresses against [k]'s live areas and
-    page tables (shared-memory windows and pages pending CoPA relocation
-    are exempt, mirroring the S3/S10 gate). *)
-
-val handle : t -> Ufork_util.Hb.event -> unit
-(** Feed one bus event; non-capability events are ignored. *)
+(** [create k] subscribes a fresh detector to [k]'s bus and resolves
+    event addresses against [k]'s live areas and page tables
+    (shared-memory windows and pages pending CoPA relocation are exempt,
+    mirroring the S3/S10 gate). *)
 
 val violations : t -> Invariant.violation list
 (** Accused R4 violations in stream order, deduplicated per

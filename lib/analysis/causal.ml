@@ -45,7 +45,7 @@ type wait_total = { mutable w_count : int; mutable w_cycles : int64 }
 type t = {
   threads : (int, tstate) Hashtbl.t;
   mutable seq : int;
-  mutable now : unit -> int64;
+  bus : Hb.t;  (* the checked machine's: its clock stamps events *)
   pending_handoff : (int, int) Hashtbl.t;  (* wakee tid -> lock id *)
   wait_totals : (int, wait_total) Hashtbl.t;  (* lock id -> totals *)
   (* Span-path interning: ids index [path_names], which stores the full
@@ -62,28 +62,12 @@ exception Audit_failure of string
 
 let unattributed = "(unattributed)"
 
-let create () =
-  {
-    threads = Hashtbl.create 64;
-    seq = 0;
-    now = (fun () -> 0L);
-    pending_handoff = Hashtbl.create 16;
-    wait_totals = Hashtbl.create 16;
-    path_names = Array.make 64 "";
-    n_paths = 0;
-    path_ids = Hashtbl.create 64;
-    forks_rev = [];
-    events = 0;
-    horizon = 0L;
-  }
-
-let set_now t f = t.now <- f
 let events_seen t = t.events
 let fork_windows t = List.rev t.forks_rev
 let horizon t = t.horizon
 
 let stamp t =
-  let now = t.now () in
+  let now = Hb.now t.bus in
   if Int64.compare now t.horizon > 0 then t.horizon <- now;
   now
 
@@ -156,13 +140,13 @@ let handle t (ev : Hb.event) =
          | Some (tc, l) when l = handoff_lock ->
              s.last_contend <- None;
              let w = wait_total t handoff_lock in
-             w.w_cycles <- Int64.add w.w_cycles (Int64.sub (t.now ()) tc)
+             w.w_cycles <- Int64.add w.w_cycles (Int64.sub (Hb.now t.bus) tc)
          | Some _ | None -> ());
       push t target (Woken { by; handoff_lock })
   | Hb.Block { tid } -> push t tid Blocked
   | Hb.Contend { tid; lock; holder } ->
       let s = state t tid in
-      s.last_contend <- Some (t.now (), lock);
+      s.last_contend <- Some (Hb.now t.bus, lock);
       (wait_total t lock).w_count <- (wait_total t lock).w_count + 1;
       push t tid (Contended { lock; holder })
   | Hb.Handoff { from_ = _; to_; lock } ->
@@ -177,7 +161,8 @@ let handle t (ev : Hb.event) =
       let id = intern_path t ~parent name in
       s.stack <- id :: s.stack;
       span_boundary t s id;
-      if name = "fork" && s.fork_open = None then s.fork_open <- Some (t.now ())
+      if name = "fork" && s.fork_open = None then
+        s.fork_open <- Some (Hb.now t.bus)
   | Hb.Span_close { tid; name } ->
       let s = state t tid in
       (match s.stack with
@@ -189,11 +174,30 @@ let handle t (ev : Hb.event) =
         match s.fork_open with
         | Some t0 ->
             s.fork_open <- None;
-            t.forks_rev <- (tid, t0, t.now ()) :: t.forks_rev
+            t.forks_rev <- (tid, t0, Hb.now t.bus) :: t.forks_rev
         | None -> ())
   | Hb.Acquire _ | Hb.Release _ | Hb.Write _ | Hb.Cap_store _ | Hb.Cap_load _
     ->
       ()
+
+let create bus =
+  let t =
+    {
+      threads = Hashtbl.create 64;
+      seq = 0;
+      bus;
+      pending_handoff = Hashtbl.create 16;
+      wait_totals = Hashtbl.create 16;
+      path_names = Array.make 64 "";
+      n_paths = 0;
+      path_ids = Hashtbl.create 64;
+      forks_rev = [];
+      events = 0;
+      horizon = 0L;
+    }
+  in
+  Hb.subscribe bus (handle t);
+  t
 
 (* {2 Analysis} *)
 
@@ -228,8 +232,8 @@ type report = {
   r_ipis : int;
 }
 
-let lock_label id =
-  match Hb.lock_name id with
+let lock_label t id =
+  match Hb.lock_name t.bus id with
   | Some n -> n
   | None -> Printf.sprintf "lock.anon.%d" id
 
@@ -397,7 +401,7 @@ let analyze t ?anchor ~t0 ~t1 () =
                      {
                        c_waiter = tid;
                        c_holder = by;
-                       c_lock = lock_label handoff_lock;
+                       c_lock = lock_label t handoff_lock;
                        c_cycles = Int64.sub r.time tc;
                        c_waiter_span = path_name t (span_at f tc);
                        c_holder_span =
@@ -491,7 +495,7 @@ let analyze t ?anchor ~t0 ~t1 () =
             total));
   let lock_waits =
     Hashtbl.fold
-      (fun lock w acc -> (lock_label lock, w.w_count, w.w_cycles) :: acc)
+      (fun lock w acc -> (lock_label t lock, w.w_count, w.w_cycles) :: acc)
       t.wait_totals []
     |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
   in
@@ -523,7 +527,7 @@ let analyze t ?anchor ~t0 ~t1 () =
 
 let analyze_fork t n =
   let windows = fork_windows t in
-  match List.nth_opt windows n with
+  match if n < 0 then None else List.nth_opt windows n with
   | None ->
       invalid_arg
         (Printf.sprintf

@@ -1,6 +1,6 @@
 (** Causal trace graph and critical-path analyzer.
 
-    Subscribed to the {!Ufork_util.Hb} bus for a run, this module folds
+    Subscribed to one machine's {!Ufork_util.Hb} bus, this module folds
     the ordering events the concurrency layer already publishes —
     spawn, wake, lock contention and hand-off, work stealing, TLB-IPI
     batches — together with {!Ufork_sim.Trace} span boundaries into
@@ -21,16 +21,10 @@ type t
 
 exception Audit_failure of string
 
-val create : unit -> t
-
-val handle : t -> Ufork_util.Hb.event -> unit
-(** Fold one bus event. Callers arm the bus themselves (the experiment
-    harness multiplexes several detectors over one subscription). *)
-
-val set_now : t -> (unit -> int64) -> unit
-(** Install the simulated-clock reader (e.g. [Engine.now] of the booted
-    machine). Events folded before installation are stamped 0 — correct
-    for boot-time events, which precede the first engine step. *)
+val create : Ufork_util.Hb.t -> t
+(** [create bus] subscribes a fresh collector to [bus] — the bus of the
+    machine it analyzes. Each folded event is stamped with the bus's
+    clock, and lock ids resolve to names through it. *)
 
 val events_seen : t -> int
 

@@ -38,6 +38,7 @@ type edge = {
 }
 
 type t = {
+  bus : Hb.t;  (* the checked machine's: lock ids resolve to names here *)
   held : (int, int list) Hashtbl.t;  (* tid → lock ids, innermost first *)
   succs : (string, string list ref) Hashtbl.t;  (* adjacency by lock name *)
   mutable edges : edge list;  (* insertion order, newest first *)
@@ -46,18 +47,8 @@ type t = {
   mutable events : int;
 }
 
-let create () =
-  {
-    held = Hashtbl.create 64;
-    succs = Hashtbl.create 64;
-    edges = [];
-    reported = Hashtbl.create 16;
-    violations_rev = [];
-    events = 0;
-  }
-
-let lock_label id =
-  match Hb.lock_name id with
+let lock_label t id =
+  match Hb.lock_name t.bus id with
   | Some n -> n
   | None -> Printf.sprintf "lock.anon.%d" id
 
@@ -147,11 +138,11 @@ let handle t (ev : Hb.event) =
   match ev with
   | Hb.Acquire { tid; lock } ->
       let held = Option.value ~default:[] (Hashtbl.find_opt t.held tid) in
-      let new_name = lock_label lock in
+      let new_name = lock_label t lock in
       let seen = Hashtbl.create 4 in
       List.iter
         (fun h ->
-          let held_name = lock_label h in
+          let held_name = lock_label t h in
           if not (Hashtbl.mem seen held_name) then begin
             Hashtbl.add seen held_name ();
             check_acquire t ~tid ~held_name ~new_name
@@ -173,6 +164,21 @@ let handle t (ev : Hb.event) =
   | Hb.Block _ | Hb.Contend _ | Hb.Handoff _ | Hb.Steal _ | Hb.Ipi _
   | Hb.Span_open _ | Hb.Span_close _ | Hb.Cap_store _ | Hb.Cap_load _ ->
       ()
+
+let create bus =
+  let t =
+    {
+      bus;
+      held = Hashtbl.create 64;
+      succs = Hashtbl.create 64;
+      edges = [];
+      reported = Hashtbl.create 16;
+      violations_rev = [];
+      events = 0;
+    }
+  in
+  Hb.subscribe bus (handle t);
+  t
 
 let events_seen t = t.events
 let violations t = List.rev t.violations_rev

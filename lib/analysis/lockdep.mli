@@ -17,11 +17,10 @@
 
 type t
 
-val create : unit -> t
-
-val handle : t -> Ufork_util.Hb.event -> unit
-(** Feed one bus event; [Hb.subscribe (handle d)] arms the checker
-    beside any other subscriber. *)
+val create : Ufork_util.Hb.t -> t
+(** [create bus] subscribes a fresh checker to [bus] — the bus of the
+    machine it checks — beside any other subscriber. Lock ids resolve
+    to names through the same bus. *)
 
 val violations : t -> Invariant.violation list
 (** Every R2 violation, oldest first; at most one per ordered pair of

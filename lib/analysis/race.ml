@@ -42,6 +42,7 @@ type race = {
 }
 
 type t = {
+  bus : Hb.t;  (* the checked machine's: lock names for reports *)
   threads : (int, Vclock.t) Hashtbl.t;
   locks : (int, Vclock.t) Hashtbl.t;
   held : (int, int list) Hashtbl.t; (* tid -> lock ids held, innermost first *)
@@ -51,18 +52,6 @@ type t = {
   mutable races : race list; (* newest first *)
   mutable events : int;
 }
-
-let create () =
-  {
-    threads = Hashtbl.create 64;
-    locks = Hashtbl.create 16;
-    held = Hashtbl.create 64;
-    atomics = Hashtbl.create 256;
-    writes = Hashtbl.create 256;
-    reported = Hashtbl.create 8;
-    races = [];
-    events = 0;
-  }
 
 let clock_of t tid =
   Option.value (Hashtbl.find_opt t.threads tid) ~default:Vclock.empty
@@ -140,23 +129,39 @@ let handle t (ev : Hb.event) =
   | Hb.Span_open _ | Hb.Span_close _ | Hb.Cap_store _ | Hb.Cap_load _ ->
       ()
 
+let create bus =
+  let t =
+    {
+      bus;
+      threads = Hashtbl.create 64;
+      locks = Hashtbl.create 16;
+      held = Hashtbl.create 64;
+      atomics = Hashtbl.create 256;
+      writes = Hashtbl.create 256;
+      reported = Hashtbl.create 8;
+      races = [];
+      events = 0;
+    }
+  in
+  Hb.subscribe bus (handle t);
+  t
+
 let races t = List.rev t.races
 let events_seen t = t.events
 
-
-(* Race reports name the locks each side held (via the {!Hb} lock-name
-   registry, e.g. [lock.stats]): "both held X" vs "neither held
+(* Race reports name the locks each side held (via the bus's lock
+   names, e.g. [lock.stats]): "both held X" vs "neither held
    anything" is the difference between a lock-granularity bug and a
    missing lock, and the sharded kernel's named ids make the resource
    readable. *)
-let pp_held ppf = function
+let pp_held bus ppf = function
   | [] -> Format.pp_print_string ppf "no locks"
   | held ->
       Format.pp_print_list
         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-        Hb.pp_lock ppf held
+        (Hb.pp_lock bus) ppf held
 
-let violation_of_race r =
+let violation_of_race bus r =
   {
     Invariant.invariant = Invariant.Data_race;
     subject = Format.asprintf "%a" Hb.pp_loc r.loc;
@@ -165,8 +170,8 @@ let violation_of_race r =
         "unordered conflicting writes: %s (thread %d, holding %a) and %s \
          (thread %d, holding %a) have no happens-before edge (no lock \
          hand-off, spawn, or wakeup between them)"
-        r.first.site r.first.tid pp_held r.first.held r.second.site
-        r.second.tid pp_held r.second.held;
+        r.first.site r.first.tid (pp_held bus) r.first.held r.second.site
+        r.second.tid (pp_held bus) r.second.held;
   }
 
-let violations t = List.map violation_of_race (races t)
+let violations t = List.map (violation_of_race t.bus) (races t)

@@ -12,9 +12,9 @@
     [kref]/[atomic_t] discipline), which cannot data-race and which
     synchronize with each other.
 
-    Subscribe {!handle} on the {!Ufork_util.Hb} bus to arm it; the
-    disarmed bus costs a single branch per instrumentation point and
-    perturbs neither scheduling nor golden accounting. *)
+    {!create} arms it on one machine's bus; the disarmed bus costs a
+    single branch per instrumentation point and perturbs neither
+    scheduling nor golden accounting. *)
 
 type t
 
@@ -24,7 +24,7 @@ type access = {
   site : string;
   held : int list;
       (** lock ids held at the write, innermost first; named via the
-          {!Ufork_util.Hb} lock-name registry in reports *)
+          bus's lock names in reports *)
 }
 
 type race = {
@@ -33,11 +33,10 @@ type race = {
   second : access;  (** the write that exposed the race *)
 }
 
-val create : unit -> t
-
-val handle : t -> Ufork_util.Hb.event -> unit
-(** Feed one bus event; [Hb.subscribe (handle d)] arms the detector
-    beside any other subscriber. *)
+val create : Ufork_util.Hb.t -> t
+(** [create bus] subscribes a fresh detector to [bus] — the bus of the
+    machine it checks ({!Ufork_sim.Engine.bus}) — beside any other
+    subscriber. *)
 
 val races : t -> race list
 (** Every detected race, oldest first; at most one per location. *)

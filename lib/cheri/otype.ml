@@ -8,6 +8,7 @@ let syscall_entry = 1
    domains at once. Only uniqueness matters — no simulated behaviour or
    export depends on the numeric value. *)
 let counter = Atomic.make 1
+[@@ufork.global_ok "otypes must be unique across every machine in the process"]
 let fresh () = 1 + Atomic.fetch_and_add counter 1
 
 let equal (a : t) b = a = b

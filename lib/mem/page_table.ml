@@ -4,20 +4,18 @@ type t = { id : int; phys : Phys.t; entries : (int, Pte.t) Hashtbl.t }
 
 (* Table identity for the happens-before bus: PTE mutations are
    published per (table, vpn) so the race detector can pair conflicting
-   accesses. *)
-let next_id = ref 0
-
+   accesses. Ids count per frame pool, i.e. per machine. *)
 let create phys =
-  incr next_id;
-  { id = !next_id; phys; entries = Hashtbl.create 1024 }
+  { id = Phys.fresh_table_id phys; phys; entries = Hashtbl.create 1024 }
 
 let phys t = t.phys
 let id t = t.id
 
 let note t vpn site =
-  if Hb.on () then
-    Hb.emit
-      (Hb.Write { tid = Hb.tid (); loc = Hb.Pte { table = t.id; vpn }; site })
+  let bus = Phys.bus t.phys in
+  if Hb.on bus then
+    Hb.emit bus
+      (Hb.Write { tid = Hb.tid bus; loc = Hb.Pte { table = t.id; vpn }; site })
 
 let map t ~vpn pte =
   if Hashtbl.mem t.entries vpn then

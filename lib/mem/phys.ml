@@ -2,23 +2,6 @@ module Hb = Ufork_util.Hb
 
 type frame = { fid : int; mutable refcount : int; page : Page.t }
 
-(* Frame state (refcount, pool membership) is shared between every
-   thread that forks, faults or exits: publish each mutation so the
-   race detector can check that some happens-before edge orders it. *)
-let note fid site =
-  if Hb.on () then
-    Hb.emit (Hb.Write { tid = Hb.tid (); loc = Hb.Frame fid; site })
-
-(* The shared global pool behind the per-core freelists is itself shared
-   state: every batched refill/drain mutates it, so each transfer is
-   published as a plain write to the [Pool] location. Unlike frame
-   refcounts (modelled as atomic RMWs), pool transfers are list splices
-   that genuinely need a lock — the race detector must see an ordering
-   edge between any two. *)
-let note_pool site =
-  if Hb.on () then
-    Hb.emit (Hb.Write { tid = Hb.tid (); loc = Hb.Pool; site })
-
 (* Freed frames return to the releasing core's freelist and are handed
    back out batch-at-a-time: most alloc/release pairs never touch the
    shared pool, which is what lets the sharded kernel keep its
@@ -27,11 +10,13 @@ let refill_batch = 32
 let drain_threshold = 2 * refill_batch
 
 type t = {
+  bus : Hb.t;
   limit_frames : int option;
   mutable in_use : int;
   mutable peak : int;
   mutable total : int;
   mutable next_id : int;
+  mutable next_table_id : int;
   registry : (int, frame) Hashtbl.t;
   local_free : frame list array; (* per-core freelist caches, LIFO *)
   local_len : int array;
@@ -47,14 +32,16 @@ type t = {
 
 exception Out_of_memory
 
-let create ?limit_frames ?(cores = 1) () =
+let create ?(bus = Hb.create ()) ?limit_frames ?(cores = 1) () =
   let cores = max 1 cores in
   {
+    bus;
     limit_frames;
     in_use = 0;
     peak = 0;
     total = 0;
     next_id = 0;
+    next_table_id = 0;
     registry = Hashtbl.create 1024;
     local_free = Array.make cores [];
     local_len = Array.make cores 0;
@@ -65,12 +52,34 @@ let create ?limit_frames ?(cores = 1) () =
   }
 
 let set_pool_guard t g = t.pool_guard <- g
+let bus t = t.bus
 
-(* The core whose freelist serves the calling thread: the engine
-   installs the provider; outside any simulated thread (boot, unit
-   tests) everything funnels through slot 0. *)
+let fresh_table_id t =
+  t.next_table_id <- t.next_table_id + 1;
+  t.next_table_id
+
+(* Frame state (refcount, pool membership) is shared between every
+   thread that forks, faults or exits: publish each mutation so the
+   race detector can check that some happens-before edge orders it. *)
+let note t fid site =
+  if Hb.on t.bus then
+    Hb.emit t.bus (Hb.Write { tid = Hb.tid t.bus; loc = Hb.Frame fid; site })
+
+(* The shared global pool behind the per-core freelists is itself shared
+   state: every batched refill/drain mutates it, so each transfer is
+   published as a plain write to the [Pool] location. Unlike frame
+   refcounts (modelled as atomic RMWs), pool transfers are list splices
+   that genuinely need a lock — the race detector must see an ordering
+   edge between any two. *)
+let note_pool t site =
+  if Hb.on t.bus then
+    Hb.emit t.bus (Hb.Write { tid = Hb.tid t.bus; loc = Hb.Pool; site })
+
+(* The core whose freelist serves the calling thread, read off the
+   machine's bus; outside any simulated thread (boot, unit tests)
+   everything funnels through slot 0. *)
 let core_slot t =
-  let c = Hb.core () in
+  let c = Hb.core t.bus in
   if c < 0 then 0 else c mod Array.length t.local_free
 
 let local_free_frames t = t.local_len.(core_slot t)
@@ -93,7 +102,7 @@ let refill t slot =
       match t.global_free with
       | [] -> ()
       | _ ->
-          note_pool "Phys.refill";
+          note_pool t "Phys.refill";
           let taken, len = take t.local_free.(slot) t.local_len.(slot)
                              t.global_free in
           t.local_free.(slot) <- taken;
@@ -125,17 +134,17 @@ let alloc t =
         Hashtbl.replace t.registry f.fid f;
         f
   in
-  note f.fid "Phys.alloc";
+  note t f.fid "Phys.alloc";
   f
 
-let retain _t f =
+let retain t f =
   if f.refcount <= 0 then invalid_arg "Phys.retain: frame is free";
-  note f.fid "Phys.retain";
+  note t f.fid "Phys.retain";
   f.refcount <- f.refcount + 1
 
 let release t f =
   if f.refcount <= 0 then invalid_arg "Phys.release: frame is free";
-  note f.fid "Phys.release";
+  note t f.fid "Phys.release";
   f.refcount <- f.refcount - 1;
   if f.refcount = 0 then begin
     t.in_use <- t.in_use - 1;
@@ -151,7 +160,7 @@ let release t f =
       t.pool_guard (fun () ->
           (* Batched drain back to the shared pool so one core's churn
              keeps feeding the others. *)
-          note_pool "Phys.drain";
+          note_pool t "Phys.drain";
           let rec drop acc len lst =
             if len <= refill_batch then (acc, len, lst)
             else

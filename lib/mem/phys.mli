@@ -11,12 +11,26 @@ type frame
 
 exception Out_of_memory
 
-val create : ?limit_frames:int -> ?cores:int -> unit -> t
-(** A fresh physical memory. [limit_frames] bounds the pool (default:
+val create :
+  ?bus:Ufork_util.Hb.t -> ?limit_frames:int -> ?cores:int -> unit -> t
+(** A fresh physical memory. [bus] is the machine's happens-before bus:
+    frame and pool mutations are published there, the calling thread's
+    core is read from it, and the page tables and MMU paths built on
+    this pool publish there too. Without one the pool gets a bus of its
+    own that no one subscribes to, and every access uses freelist 0.
+    [limit_frames] bounds the pool (default:
     unlimited); exceeding it raises {!Out_of_memory}. [cores] (default
     1) sizes the per-core freelists: freed frames return to the
     releasing core's cache and refill/drain against the shared pool in
     batches, so most alloc/release pairs never touch shared state. *)
+
+val bus : t -> Ufork_util.Hb.t
+(** The bus this pool publishes on. *)
+
+val fresh_table_id : t -> int
+(** The next page-table id on this pool: [1], [2], ... in creation
+    order. Page-table ids name tables in happens-before events, so they
+    count per machine. *)
 
 val set_pool_guard : t -> ((unit -> unit) -> unit) -> unit
 (** Install the critical-section wrapper run around every batched

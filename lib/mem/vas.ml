@@ -6,15 +6,19 @@ module Hb = Ufork_util.Hb
 
 (* Capability traffic through the MMU is the capflow detector's ground
    truth: every user-level cap store/load and every kernel metadata cap
-   store/load publishes here. Disarmed cost is one bool read. *)
-let publish_cap_store ~addr cap =
-  if Hb.on () && Capability.tag cap then
-    Hb.emit
-      (Hb.Cap_store { tid = Hb.tid (); addr; prov = Capability.prov cap })
+   store/load publishes on the machine's bus. Disarmed cost is a few
+   field reads. *)
+let publish_cap_store pt ~addr cap =
+  let bus = Phys.bus (Page_table.phys pt) in
+  if Hb.on bus && Capability.tag cap then
+    Hb.emit bus
+      (Hb.Cap_store { tid = Hb.tid bus; addr; prov = Capability.prov cap })
 
-let publish_cap_load ~addr cap =
-  if Hb.on () && Capability.tag cap then
-    Hb.emit (Hb.Cap_load { tid = Hb.tid (); addr; prov = Capability.prov cap })
+let publish_cap_load pt ~addr cap =
+  let bus = Phys.bus (Page_table.phys pt) in
+  if Hb.on bus && Capability.tag cap then
+    Hb.emit bus
+      (Hb.Cap_load { tid = Hb.tid bus; addr; prov = Capability.prov cap })
 
 type access = Read | Write | Exec | Cap_load | Cap_store
 
@@ -121,7 +125,7 @@ let load_cap pt ~via ~addr =
     ~addr ~len:Addr.granule_size;
   check_page pt ~addr ~access:Cap_load;
   let cap = Page.load_cap (page_of pt ~addr) ~off:(Addr.page_offset addr) in
-  publish_cap_load ~addr cap;
+  publish_cap_load pt ~addr cap;
   cap
 
 let store_cap pt ~via ~addr cap =
@@ -130,7 +134,7 @@ let store_cap pt ~via ~addr cap =
     ~perm:Perms.(union store store_cap)
     ~addr ~len:Addr.granule_size;
   check_page pt ~addr ~access:Cap_store;
-  publish_cap_store ~addr cap;
+  publish_cap_store pt ~addr cap;
   Page.store_cap (page_of pt ~addr) ~off:(Addr.page_offset addr) cap
 
 let kernel_page pt ~vpn = Phys.page (Page_table.lookup_exn pt ~vpn).Pte.frame
@@ -151,14 +155,14 @@ let kernel_write_bytes pt ~addr b =
 let kernel_store_cap pt ~addr cap =
   require_granule_aligned addr;
   let p = kernel_page pt ~vpn:(Addr.vpn_of_addr addr) in
-  publish_cap_store ~addr cap;
+  publish_cap_store pt ~addr cap;
   Page.store_cap p ~off:(Addr.page_offset addr) cap
 
 let kernel_load_cap pt ~addr =
   require_granule_aligned addr;
   let p = kernel_page pt ~vpn:(Addr.vpn_of_addr addr) in
   let cap = Page.load_cap p ~off:(Addr.page_offset addr) in
-  publish_cap_load ~addr cap;
+  publish_cap_load pt ~addr cap;
   cap
 
 let kernel_clear_tags pt ~addr ~len =

@@ -109,29 +109,31 @@ type t = {
          only way into kernel code without a trap (§4.2, §4.4). *)
 }
 
-let make_locks ~frame_pool = function
-  | Config.Big_kernel_lock -> Big (Sync.Rlock.create ~name:"lock.kernel.big" ())
+let make_locks ~bus ~frame_pool = function
+  | Config.Big_kernel_lock ->
+      Big (Sync.Rlock.create ~bus ~name:"lock.kernel.big" ())
   | Config.Sharded_locks ->
       Sharded
         {
           frame_pool;
-          uproc_table = Sync.Rlock.create ~name:"lock.uproc_table" ();
-          fd_tables = Sync.Rlock.create ~name:"lock.fd_tables" ();
-          stats = Sync.Rlock.create ~name:"lock.stats" ();
+          uproc_table = Sync.Rlock.create ~bus ~name:"lock.uproc_table" ();
+          fd_tables = Sync.Rlock.create ~bus ~name:"lock.fd_tables" ();
+          stats = Sync.Rlock.create ~bus ~name:"lock.stats" ();
           pt_shards =
             Array.init pt_shard_count (fun i ->
-                Sync.Rlock.create
+                Sync.Rlock.create ~bus
                   ~name:(Printf.sprintf "lock.pt_shard.%02d" i)
                   ());
         }
 
 let create ~engine ~costs ~config ~multi_address_space () =
-  let phys = Phys.create ~cores:(Engine.cores engine) () in
+  let bus = Engine.bus engine in
+  let phys = Phys.create ~bus ~cores:(Engine.cores engine) () in
   (* One frame-pool lock regardless of regime: under [Sharded] it is the
      sharded frame_pool resource itself; under [Big] it additionally
      serializes the batched freelist refill/drain transfers Phys runs
      against the shared pool (installed as the pool guard below). *)
-  let frame_pool_lock = Sync.Rlock.create ~name:"lock.frame_pool" () in
+  let frame_pool_lock = Sync.Rlock.create ~bus ~name:"lock.frame_pool" () in
   let root = Capability.root () in
   let entry_cap =
     (* Points at the system-call handler in the kernel region, executable
@@ -150,7 +152,8 @@ let create ~engine ~costs ~config ~multi_address_space () =
     trace = Trace.create ~engine ~costs ();
     phys;
     vfs = Vfs.create ();
-    locks = make_locks ~frame_pool:frame_pool_lock config.Config.lock_mode;
+    locks =
+      make_locks ~bus ~frame_pool:frame_pool_lock config.Config.lock_mode;
     stats_lock_disabled = false;
     procs = Hashtbl.create 64;
     next_pid = 0;

@@ -219,7 +219,7 @@ exception Killed_signal
     {!with_biglock} is the no-op and each shared structure is guarded
     by its own named {!Ufork_sim.Sync.Rlock} — [lock.frame_pool],
     [lock.uproc_table], [lock.fd_tables], [lock.stats],
-    [lock.pt_shard.NN] — all registered on the {!Ufork_util.Hb} bus so
+    [lock.pt_shard.NN] — all registered on the machine's bus so
     the race detector certifies the split and names the resource in
     its reports.
 

@@ -123,12 +123,15 @@ type t = {
   mutable running_core : int;
   mutable running_name : string;
       (* The thread currently executing host code on this engine, or
-         (-1, -1, "") between threads. Plain fields mirroring
-         Get_tid/Get_core/Get_name so the per-event accounting path can
-         read them without an effect dispatch. Saved and restored around
+         (-1, -1, "") between threads. Plain fields, so the per-event
+         accounting path and the bus read them without an effect
+         dispatch. Saved and restored around
          every resume: a running thread that calls [wake] can dispatch a
          nested [exec] on an idle core, so plain reset to -1 would
          clobber the outer thread's identity. *)
+  bus : Hb.t Lazy.t;
+      (* This machine's happens-before bus. Lazy only to tie the knot:
+         its clock readers are the fields above. *)
 }
 
 type waker = { mutable target : (t * thread * resume) option }
@@ -143,36 +146,43 @@ type _ Effect.t +=
   | Yield : unit Effect.t
   | Suspend : (waker -> unit) -> unit Effect.t
   | Get_time : int64 Effect.t
-  | Get_tid : tid Effect.t
-  | Get_core : int Effect.t
-  | Get_name : string Effect.t
 
 let max_cores = 1024
 
 let create ?(cores = 4) () =
   if cores <= 0 then invalid_arg "Engine.create: cores <= 0";
   if cores > max_cores then invalid_arg "Engine.create: cores > 1024";
-  {
-    core_array = Array.init cores (fun index -> { index; busy = false });
-    events = Heap.create ();
-    now = 0L;
-    advanced = 0L;
-    seq = 0;
-    run_queues = Array.init cores (fun _ -> Queue.create ());
-    ready_seq = 0;
-    ready_count = 0;
-    steals = 0;
-    live = 0;
-    blocked = 0;
-    next_tid = 0;
-    in_event = false;
-    until_limit = Int64.max_int;
-    inline_depth = 0;
-    active_resumes = 0;
-    running_tid = -1;
-    running_core = -1;
-    running_name = "";
-  }
+  let rec t =
+    {
+      core_array = Array.init cores (fun index -> { index; busy = false });
+      events = Heap.create ();
+      now = 0L;
+      advanced = 0L;
+      seq = 0;
+      run_queues = Array.init cores (fun _ -> Queue.create ());
+      ready_seq = 0;
+      ready_count = 0;
+      steals = 0;
+      live = 0;
+      blocked = 0;
+      next_tid = 0;
+      in_event = false;
+      until_limit = Int64.max_int;
+      inline_depth = 0;
+      active_resumes = 0;
+      running_tid = -1;
+      running_core = -1;
+      running_name = "";
+      bus =
+        lazy
+          (Hb.create
+             ~tid:(fun () -> t.running_tid)
+             ~core:(fun () -> t.running_core)
+             ~now:(fun () -> t.now)
+             ());
+    }
+  in
+  t
 
 let cores t = Array.length t.core_array
 let now t = t.now
@@ -183,6 +193,7 @@ let steals t = t.steals
 let running_tid t = t.running_tid
 let running_core t = t.running_core
 let running_name t = t.running_name
+let bus t = Lazy.force t.bus
 
 (* Enqueue a ready thread on its run queue: the affinity core when
    pinned, the home core otherwise. The global ready-seq stamp is what
@@ -332,19 +343,12 @@ let exec t core thread resume =
               | Suspend register ->
                   Some
                     (fun k ->
-                      if Hb.on () then
-                        Hb.emit (Hb.Block { tid = thread.tid });
+                      if Hb.on (bus t) then
+                        Hb.emit (bus t) (Hb.Block { tid = thread.tid });
                       release_core thread;
                       t.blocked <- t.blocked + 1;
                       register { target = Some (t, thread, Cont k) })
               | Get_time -> Some (fun k -> Effect.Deep.continue k t.now)
-              | Get_tid -> Some (fun k -> Effect.Deep.continue k thread.tid)
-              | Get_core ->
-                  Some
-                    (fun k ->
-                      Effect.Deep.continue k (occupied_core thread).index)
-                | Get_name ->
-                    Some (fun k -> Effect.Deep.continue k thread.name)
                 | _ -> None);
           }
   in
@@ -431,8 +435,9 @@ let dispatch t =
                   in
                   t.steals <- t.steals + 1;
                   let c = idle 1 in
-                  if Hb.on () then
-                    Hb.emit (Hb.Steal { tid = thread.tid; core = c.index });
+                  if Hb.on (bus t) then
+                    Hb.emit (bus t)
+                      (Hb.Steal { tid = thread.tid; core = c.index });
                   c
                 end
           in
@@ -458,8 +463,8 @@ let enqueue_new t ?name ?affinity body =
   in
   t.live <- t.live + 1;
   make_ready t thread (Start body);
-  if Hb.on () then
-    Hb.emit (Hb.Spawn { parent = Hb.tid (); child = thread.tid });
+  if Hb.on (bus t) then
+    Hb.emit (bus t) (Hb.Spawn { parent = t.running_tid; child = thread.tid });
   thread.tid
 
 let spawn ?name ?affinity t body =
@@ -522,9 +527,6 @@ let advance_direct t n =
 let yield () = Effect.perform Yield
 let suspend register = Effect.perform (Suspend register)
 let current_time () = Effect.perform Get_time
-let current_tid () = Effect.perform Get_tid
-let current_core () = Effect.perform Get_core
-let current_name () = Effect.perform Get_name
 
 let waker_pending w = w.target <> None
 
@@ -537,25 +539,13 @@ let wake w =
   | Some (t, thread, resume) ->
       w.target <- None;
       t.blocked <- t.blocked - 1;
-      if Hb.on () then Hb.emit (Hb.Wake { by = Hb.tid (); target = thread.tid });
+      if Hb.on (bus t) then
+        Hb.emit (bus t) (Hb.Wake { by = t.running_tid; target = thread.tid });
       make_ready t thread resume;
       (* A waker fired outside event processing (e.g. between runs) must
          kick the dispatcher itself; inside, the main loop dispatches after
          the current event completes. *)
       if not t.in_event then dispatch t
-
-(* The happens-before bus needs the current simulated thread wherever a
-   publisher sits (the frame pool in lib/mem cannot perform effects
-   itself); install the provider once at link time. *)
-let () =
-  Hb.set_tid_provider (fun () ->
-      match Effect.perform Get_tid with
-      | tid -> tid
-      | exception Effect.Unhandled _ -> -1);
-  Hb.set_core_provider (fun () ->
-      match Effect.perform Get_core with
-      | core -> core
-      | exception Effect.Unhandled _ -> -1)
 
 let sleep n =
   if n < 0L then invalid_arg "Engine.sleep: negative";

@@ -24,9 +24,12 @@
 type t
 type tid = int
 
+val max_cores : int
+(** 1024: the most cores a machine boots with. *)
+
 val create : ?cores:int -> unit -> t
-(** Default 4 cores; up to 1024 ([Invalid_argument] beyond — the SMP
-    scaling study sweeps to 128). *)
+(** Default 4 cores; 1 to {!max_cores} ([Invalid_argument] outside —
+    the SMP scaling study sweeps to 512). *)
 
 val cores : t -> int
 
@@ -37,18 +40,26 @@ val steals : t -> int
 val running_tid : t -> tid
 (** The simulated thread currently executing host code on this engine,
     or [-1] when none is (boot code, the run loop between events). A
-    plain field read — no effect dispatch — mirroring {!current_tid};
-    this is what {!Trace.emit}'s fast path keys charging on. Maintained
+    plain field read — no effect dispatch; this is what {!Trace.emit}'s
+    fast path keys charging on. Maintained
     with save/restore around every resume, so nested execution (a
     running thread whose [wake] dispatches another thread onto an idle
     core) unwinds correctly. *)
 
 val running_core : t -> int
-(** Core occupied by the running thread, or [-1]; mirrors
-    {!current_core} the same way. *)
+(** Core occupied by the running thread, or [-1], maintained the same
+    way. *)
 
 val running_name : t -> string
-(** Name of the running thread, or [""]; mirrors {!current_name}. *)
+(** Name of the running thread ([spawn]'s [?name], or ["t<tid>"] when
+    none was given), or [""]. Trace records carry it so exports can
+    label lanes. *)
+
+val bus : t -> Ufork_util.Hb.t
+(** This machine's happens-before bus. Its tid, core and clock are
+    {!running_tid}, {!running_core} and {!now}: plain field reads. The
+    machine's publishers (its locks, frame pool and trace) share it, so
+    a detector subscribed here sees exactly this machine's events. *)
 
 
 val now : t -> int64
@@ -103,12 +114,6 @@ val sleep : int64 -> unit
 (** Release the core and become runnable again after the given delay. *)
 
 val current_time : unit -> int64
-val current_tid : unit -> tid
-val current_core : unit -> int
-
-val current_name : unit -> string
-(** The current thread's name ([spawn]'s [?name], or ["t<tid>"] when none
-    was given). Trace records carry it so exports can label lanes. *)
 
 type waker
 (** One-shot handle that makes a suspended thread runnable again. *)

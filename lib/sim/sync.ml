@@ -4,6 +4,7 @@ module Lock = struct
   type t = {
     id : int;
     name : string option;
+    bus : Hb.t;
     mutable held : bool;
     queue : Engine.waker Queue.t;
     mutable holder : int;  (** tid of the current holder while [held] *)
@@ -18,6 +19,7 @@ module Lock = struct
      bus so race reports and trace exports can say which resource a
      lock protects. *)
   let next_id = ref 0
+  [@@ufork.global_ok "lock ids are unique process-wide (registry_mutex)"]
 
   (* Named locks also register here, newest first, so the contention
      surface ([Sync.lock_contention]) can enumerate them after a run.
@@ -29,19 +31,22 @@ module Lock = struct
      contention readouts aggregate by name and sort, so registration
      order never shows. *)
   let registry : t list ref = ref []
+  [@@ufork.global_ok "the contention readout sums named locks across machines"]
   let registry_mutex = Mutex.create ()
+  [@@ufork.global_ok "guards next_id and registry against parallel boots"]
 
-  let create ?name () =
+  let create ?(bus = Hb.create ()) ?name () =
     let id =
       Mutex.protect registry_mutex (fun () ->
           incr next_id;
           !next_id)
     in
-    Option.iter (Hb.set_lock_name id) name;
+    Option.iter (Hb.set_lock_name bus id) name;
     let t =
       {
         id;
         name;
+        bus;
         held = false;
         queue = Queue.create ();
         holder = min_int;
@@ -66,26 +71,29 @@ module Lock = struct
        Hashtbl.replace t.wait_holders blocking_holder
          (1 + Option.value ~default:0
                 (Hashtbl.find_opt t.wait_holders blocking_holder));
-       if Hb.on () then
-         Hb.emit
-           (Hb.Contend { tid = Hb.tid (); lock = t.id; holder = blocking_holder });
+       if Hb.on t.bus then
+         Hb.emit t.bus
+           (Hb.Contend
+              { tid = Hb.tid t.bus; lock = t.id; holder = blocking_holder });
        Engine.suspend (fun w -> Queue.push w t.queue)
      end);
-    t.holder <- Hb.tid ();
+    t.holder <- Hb.tid t.bus;
     (* Emitted after the lock is really held (a contended acquire
        suspends first): the detector joins the releaser's clock here. *)
-    if Hb.on () then Hb.emit (Hb.Acquire { tid = Hb.tid (); lock = t.id })
+    if Hb.on t.bus then
+      Hb.emit t.bus (Hb.Acquire { tid = t.holder; lock = t.id })
 
   let release t =
     if not t.held then invalid_arg "Lock.release: not held";
-    if Hb.on () then Hb.emit (Hb.Release { tid = Hb.tid (); lock = t.id });
+    if Hb.on t.bus then
+      Hb.emit t.bus (Hb.Release { tid = Hb.tid t.bus; lock = t.id });
     match Queue.take_opt t.queue with
     | Some w ->
         (* Ownership transfers directly to the woken thread. *)
-        if Hb.on () then
-          Hb.emit
+        if Hb.on t.bus then
+          Hb.emit t.bus
             (Hb.Handoff
-               { from_ = Hb.tid (); to_ = Engine.waker_tid w; lock = t.id });
+               { from_ = Hb.tid t.bus; to_ = Engine.waker_tid w; lock = t.id });
         Engine.wake w
     | None -> t.held <- false
 
@@ -198,11 +206,11 @@ module Rlock = struct
 
   let no_owner = min_int
 
-  let create ?name () =
-    { lock = Lock.create ?name (); owner = no_owner; depth = 0 }
+  let create ~bus ?name () =
+    { lock = Lock.create ~bus ?name (); owner = no_owner; depth = 0 }
 
   let acquire t =
-    let tid = Hb.tid () in
+    let tid = Hb.tid t.lock.Lock.bus in
     if t.depth > 0 && t.owner = tid then t.depth <- t.depth + 1
     else begin
       Lock.acquire t.lock;
@@ -230,7 +238,6 @@ module Rlock = struct
 
   let id t = Lock.id t.lock
   let name t = Lock.name t.lock
-  let held_by_self t = t.depth > 0 && t.owner = Hb.tid ()
 end
 
 module Cond = struct

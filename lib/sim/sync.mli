@@ -7,10 +7,13 @@
 module Lock : sig
   type t
 
-  val create : ?name:string -> unit -> t
-  (** [name] registers a stable resource name for the lock's id with the
-      happens-before bus ({!Ufork_util.Hb.set_lock_name}), so race
-      reports and trace exports name the resource, not a number. *)
+  val create : ?bus:Ufork_util.Hb.t -> ?name:string -> unit -> t
+  (** [bus] is the machine's happens-before bus ({!Engine.bus}): the
+      lock publishes there and reads its holder's tid from it. A lock
+      built outside any machine (unit tests) gets a bus that no one
+      subscribes to and records no holder tid. [name] registers a stable
+      resource name for the lock's id with the bus, so race reports and
+      trace exports name the resource, not a number. *)
 
   val acquire : t -> unit
   (** Blocks (suspending the calling engine thread) until available. *)
@@ -65,15 +68,12 @@ val reset_lock_contention : unit -> unit
 module Rlock : sig
   type t
 
-  val create : ?name:string -> unit -> t
+  val create : bus:Ufork_util.Hb.t -> ?name:string -> unit -> t
   val acquire : t -> unit
   val release : t -> unit
   val with_lock : t -> (unit -> 'a) -> 'a
   val id : t -> int
   val name : t -> string option
-
-  val held_by_self : t -> bool
-  (** True when the calling engine thread currently holds the lock. *)
 end
 
 module Cond : sig

@@ -84,6 +84,7 @@ type span_total = {
      aggregate. *)
 type t = {
   engine : Engine.t;
+  bus : Ufork_util.Hb.t;  (* the engine's: spans, IPIs, gauges publish here *)
   costs : Costs.t;
   meter : Meter.t;
   key_ids : int array; (* Event.id -> meter key id, -1 until first touch *)
@@ -154,12 +155,14 @@ let dummy_agg = { self_cycles = 0; span_total = 0; closed = 0 }
    structures first — so sharing them across traces (hence domains) is
    safe. *)
 let dummy_children : (string, int) Hashtbl.t = Hashtbl.create 1
+[@@ufork.global_ok "a read-only slot filler, never written through"]
 let dummy_hist = Histogram.create ()
 
 let create ~engine ~costs ?(ring_capacity = default_ring_capacity) () =
   let cap = max 1 ring_capacity in
   {
     engine;
+    bus = Engine.bus engine;
     costs;
     meter = Meter.create ();
     key_ids = Array.make Event.id_count (-1);
@@ -393,18 +396,18 @@ let with_span t ~name f =
   in
   t.cache_top <- Some frame;
   (* Span boundaries feed the causal analyzer's per-thread span-path
-     timeline. Free when the bus is disarmed: one bool read. *)
+     timeline. Free when the bus is disarmed: one field read. *)
   let module Hb = Ufork_util.Hb in
-  if Hb.on () then Hb.emit (Hb.Span_open { tid; name });
+  if Hb.on t.bus then Hb.emit t.bus (Hb.Span_open { tid; name });
   match f () with
   | v ->
       close_frame t tid frame;
-      if Hb.on () then Hb.emit (Hb.Span_close { tid; name });
+      if Hb.on t.bus then Hb.emit t.bus (Hb.Span_close { tid; name });
       v
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in
       close_frame t tid frame;
-      if Hb.on () then Hb.emit (Hb.Span_close { tid; name });
+      if Hb.on t.bus then Hb.emit t.bus (Hb.Span_close { tid; name });
       Printexc.raise_with_backtrace e bt
 
 (* Attribute charged cycles to the innermost open span on this thread;
@@ -505,8 +508,8 @@ let emit t ?(pid = -1) event =
      initiator to every core it IPIs. Published here (not in the kernel)
      so every shootdown flavour reports through one site. *)
   (match event with
-  | Event.Tlb_shootdown remotes when Ufork_util.Hb.on () ->
-      Ufork_util.Hb.emit (Ufork_util.Hb.Ipi { by = tid; remotes })
+  | Event.Tlb_shootdown remotes when Ufork_util.Hb.on t.bus ->
+      Ufork_util.Hb.emit t.bus (Ufork_util.Hb.Ipi { by = tid; remotes })
   | _ -> ());
   let charged = tid >= 0 && cost > 0L in
   let e = acc_entry t kid in
@@ -539,9 +542,10 @@ let gauge t key v =
   (* Gauges are shared scalar state (e.g. last-fork latency read by the
      stats dump): publish the write so the race detector can order it. *)
   let module Hb = Ufork_util.Hb in
-  if Hb.on () then
-    Hb.emit
-      (Hb.Write { tid = Hb.tid (); loc = Hb.Gauge key; site = "Trace.gauge" });
+  if Hb.on t.bus then
+    Hb.emit t.bus
+      (Hb.Write
+         { tid = Hb.tid t.bus; loc = Hb.Gauge key; site = "Trace.gauge" });
   Meter.set t.meter key v
 
 let last_fork_latency_key = "gauge.last_fork_latency"

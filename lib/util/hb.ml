@@ -3,10 +3,10 @@
    The concurrency layer (engine, locks), the memory kit (frame pool,
    page tables) and the gauge surface publish ordering edges and
    shared-state mutations here; the analyzers in lib/analysis (race,
-   lockdep, causal, capflow) subscribe side by side for the duration of
-   a checked run. With no
-   subscriber the publishers pay one mutable-bool read and build no
-   values, so production runs and the golden accounting are untouched.
+   lockdep, causal, capflow) subscribe side by side to the bus of the
+   machine they check. With no subscriber the publishers pay one field
+   read and build no values, so production runs and the golden
+   accounting are untouched.
 
    This module lives at the bottom of the dependency stack (lib/util)
    precisely so that both lib/sim and lib/mem can publish without a
@@ -57,60 +57,44 @@ type event =
   | Cap_load of { tid : int; addr : int; prov : int }
       (** a tagged capability was loaded back out of memory *)
 
-(* The engine installs the provider once at link time; outside any
-   simulated thread (boot, direct poking from unit tests) it returns a
-   negative tid, which subscribers treat as "not a concurrent context".
-   [enabled] is the only state the hot paths touch when no detector is
-   armed. Subscribers are delivered to in subscription order. *)
+(* One bus per machine: the engine creates it and hands it to the
+   publishers it owns (its locks, its frame pool, its trace), so a
+   detector subscribed here sees exactly that machine's events. The
+   clock readers are plain field reads on the engine; outside any
+   simulated thread they return a negative tid/core, which subscribers
+   treat as "not a concurrent context". The listener list is the only
+   state the hot paths touch when no detector listens. Subscribers are
+   delivered to in subscription order. *)
 
-type subscription = { deliver : event -> unit }
+type t = {
+  mutable listeners : (event -> unit) list;
+  lock_names : (int, string) Hashtbl.t;
+      (* Stable resource names for lock ids (the sharded kernel locks
+         register here), so race reports and trace exports can name the
+         resource a lock protects instead of printing a bare number. *)
+  tid : unit -> int;
+  core : unit -> int;
+  now : unit -> int64;
+}
 
-let enabled = ref false
-let listeners : subscription list ref = ref []
-let tid_provider : (unit -> int) ref = ref (fun () -> -1)
-let core_provider : (unit -> int) ref = ref (fun () -> -1)
+let create ?(tid = fun () -> -1) ?(core = fun () -> -1) ?(now = fun () -> 0L)
+    () =
+  { listeners = []; lock_names = Hashtbl.create 16; tid; core; now }
 
-let set_tid_provider f = tid_provider := f
-let tid () = !tid_provider ()
-let set_core_provider f = core_provider := f
-let core () = !core_provider ()
-let on () = !enabled
+let tid t = t.tid ()
+let core t = t.core ()
+let now t = t.now ()
+let on t = match t.listeners with [] -> false | _ :: _ -> true
+let set_lock_name t id name = Hashtbl.replace t.lock_names id name
+let lock_name t id = Hashtbl.find_opt t.lock_names id
 
-(* Stable resource names for lock ids (the sharded kernel locks register
-   here), so race reports and trace exports can name the resource a lock
-   protects instead of printing a bare number. Process-global like the
-   id counter itself: ids are never reused within a run. *)
-let lock_names : (int, string) Hashtbl.t = Hashtbl.create 64
-
-(* Lock creation happens on every machine boot, and the bench harness
-   boots machines from several domains at once ([Experiments.parmap]);
-   a bare Hashtbl would be a host-level data race. Detectors only ever
-   run single-domain, so reads stay cheap. *)
-let lock_names_mutex = Mutex.create ()
-
-let set_lock_name id name =
-  Mutex.protect lock_names_mutex (fun () ->
-      Hashtbl.replace lock_names id name)
-
-let lock_name id =
-  Mutex.protect lock_names_mutex (fun () -> Hashtbl.find_opt lock_names id)
-
-let pp_lock ppf id =
-  match lock_name id with
+let pp_lock t ppf id =
+  match lock_name t id with
   | Some name -> Format.fprintf ppf "%s (lock %d)" name id
   | None -> Format.fprintf ppf "lock %d" id
 
-let subscribe deliver =
-  let s = { deliver } in
-  listeners := !listeners @ [ s ];
-  enabled := true;
-  s
-
-let unsubscribe s =
-  listeners := List.filter (fun s' -> s' != s) !listeners;
-  enabled := !listeners <> []
-
-let emit ev = if !enabled then List.iter (fun s -> s.deliver ev) !listeners
+let subscribe t deliver = t.listeners <- t.listeners @ [ deliver ]
+let emit t ev = List.iter (fun deliver -> deliver ev) t.listeners
 
 let pp_loc ppf = function
   | Frame fid -> Format.fprintf ppf "frame %d" fid

@@ -2,9 +2,10 @@
 
     Publishers (the simulation engine, locks, the frame pool, page
     tables, the gauge surface) report ordering edges and shared-state
-    mutations; any number of analyzers subscribe for the duration of a
-    checked run. With no subscriber the publishers pay a single bool
-    read and allocate nothing, so golden accounting is untouched.
+    mutations on their machine's bus; any number of analyzers subscribe
+    to the bus of the machine they check. With no subscriber the
+    publishers pay a single read and allocate nothing, so golden
+    accounting is untouched.
 
     The module sits in lib/util so both lib/sim and lib/mem can publish
     without a dependency cycle. *)
@@ -41,46 +42,48 @@ type event =
   | Cap_load of { tid : int; addr : int; prov : int }
       (** a tagged capability was loaded back out of memory *)
 
-val set_tid_provider : (unit -> int) -> unit
-(** Installed once by the engine: the current simulated thread id, or a
-    negative value outside any simulated thread. *)
+type t
+(** One machine's bus: its listeners, its lock names and its clock. *)
 
-val tid : unit -> int
-(** The current simulated thread id via the installed provider. *)
+val create :
+  ?tid:(unit -> int) -> ?core:(unit -> int) -> ?now:(unit -> int64) -> unit -> t
+(** A bus with no subscriber. The engine passes readers of its running
+    thread, core and clock; the defaults (no thread: [-1], time [0L])
+    suit a bus no simulated thread publishes on — a lock or frame pool
+    built outside any machine, or a unit test replaying events. *)
 
-val set_core_provider : (unit -> int) -> unit
-(** Installed once by the engine: the core the current simulated thread
-    occupies, or a negative value outside any simulated thread. Lets
-    publishers below lib/sim (e.g. the frame pool's per-core freelists)
-    pick a core bucket without a dependency cycle. *)
+val tid : t -> int
+(** The current simulated thread id, or a negative value outside any
+    simulated thread. *)
 
-val core : unit -> int
-(** The current core via the installed provider. *)
+val core : t -> int
+(** The core the current simulated thread occupies, or a negative value
+    outside any simulated thread. Lets publishers below lib/sim (e.g.
+    the frame pool's per-core freelists) pick a core bucket without a
+    dependency cycle. *)
 
-val set_lock_name : int -> string -> unit
+val now : t -> int64
+(** The machine's simulated clock. *)
+
+val set_lock_name : t -> int -> string -> unit
 (** Register a stable resource name for a lock id (e.g.
     ["lock.frame_pool"]). Named locks appear by name in race reports. *)
 
-val lock_name : int -> string option
+val lock_name : t -> int -> string option
 
-val pp_lock : Format.formatter -> int -> unit
+val pp_lock : t -> Format.formatter -> int -> unit
 (** ["<name> (lock <id>)"] when the id is named, ["lock <id>"] otherwise. *)
 
-val on : unit -> bool
-(** True while a subscriber is armed. Publishers guard event
+val on : t -> bool
+(** True once a subscriber is armed. Publishers guard event
     construction behind this so the off state allocates nothing. *)
 
-type subscription
+val subscribe : t -> (event -> unit) -> unit
+(** Add a listener. Listeners stack: every subscriber sees every event,
+    in subscription order, for the life of the bus. *)
 
-val subscribe : (event -> unit) -> subscription
-(** Add a listener and arm the bus. Listeners stack: every subscriber
-    sees every event, in subscription order. *)
-
-val unsubscribe : subscription -> unit
-(** Remove one listener; the bus disarms when the last one leaves. *)
-
-val emit : event -> unit
-(** Deliver to every subscriber, if armed. Call under
-    [if on () then ...] when building the event allocates. *)
+val emit : t -> event -> unit
+(** Deliver to every subscriber. Call under [if on bus then ...] when
+    building the event allocates. *)
 
 val pp_loc : Format.formatter -> loc -> unit

@@ -33,7 +33,6 @@ module Page = Ufork_mem.Page
 module Phys = Ufork_mem.Phys
 module Pte = Ufork_mem.Pte
 module Page_table = Ufork_mem.Page_table
-module Hb = Ufork_util.Hb
 
 type system =
   | Ufork of Strategy.t
@@ -97,49 +96,30 @@ let empty_run =
 
 (* What an installed run collects. Nested [with_run]s share it, so a
    sink keeps every machine booted under the outermost run: traces
-   oldest first, the latest causal collector, and the bus subscriptions
-   of the machine currently armed. *)
+   oldest first and the latest causal collector. *)
 type collected = {
   mutable traced : Trace.t list;
   mutable warned_dropped : int;
       (* drop count already reported, so each overflow warns once *)
   mutable profiled : Trace.t list;
   mutable graph : Causal.t option;
-  mutable subscriptions : Hb.subscription list;
 }
 
 let installed : (run * collected) option ref = ref None
+[@@ufork.global_ok "the front end installs one run for the whole process"]
 
 let current_run () =
   match !installed with Some (r, _) -> r | None -> empty_run
-
-(* No write when there is nothing to drop: unarmed boots under [parmap]
-   read this record from several domains at once. *)
-let drop_subscriptions c =
-  match c.subscriptions with
-  | [] -> ()
-  | subs ->
-      List.iter Hb.unsubscribe subs;
-      c.subscriptions <- []
 
 let with_run r f =
   let outer = !installed in
   let c =
     match outer with
     | Some (_, c) -> c
-    | None ->
-        {
-          traced = [];
-          warned_dropped = 0;
-          profiled = [];
-          graph = None;
-          subscriptions = [];
-        }
+    | None -> { traced = []; warned_dropped = 0; profiled = []; graph = None }
   in
   installed := Some (r, c);
-  Fun.protect f ~finally:(fun () ->
-      installed := outer;
-      if Option.is_none outer then drop_subscriptions c)
+  Fun.protect f ~finally:(fun () -> installed := outer)
 
 let collected_or default f =
   match !installed with Some (_, c) -> f c | None -> default
@@ -337,6 +317,7 @@ let parmap ~jobs f items =
    without threading counts through each experiment's row type. Atomic,
    not mutexed: a sum is order-independent. *)
 let emits_acc = Atomic.make 0
+[@@ufork.global_ok "an order-independent sum across every machine run"]
 let reset_emits () = Atomic.set emits_acc 0
 let emits_total () = Atomic.get emits_acc
 
@@ -452,12 +433,11 @@ let boot_raw ~cores ?config system =
              ~costs:Costs.linux_ref ())
     | Nephele -> Vmclone.system (Vmclone.boot ~cores ?config ()))
 
-(* Arm the installed run on a machine booted under it. Bus detectors
-   subscribe before boot so image setup and process spawns are already
-   on their clocks; capflow needs the kernel, so it subscribes right
-   after (the boot-time stores it misses are swept at [finish_run]).
-   The previous machine's subscriptions go first: a detector must never
-   see another machine's events. *)
+(* Arm the installed run on a machine booted under it. Each detector
+   subscribes to the booted machine's own bus, so it sees that machine's
+   events and no other's. Boot only builds empty structures and
+   publishes nothing; the first events come from starting a process, so
+   attaching right after boot loses no history. *)
 let armed_boot r c make =
   let chaos =
     Option.map
@@ -471,34 +451,17 @@ let armed_boot r c make =
     List.mem inv r.detect
     || match chaos with Some row -> row.expect = inv | None -> false
   in
-  drop_subscriptions c;
-  let detector on create handle =
-    if on then begin
-      let d = create () in
-      c.subscriptions <- Hb.subscribe (handle d) :: c.subscriptions;
-      Some d
-    end
-    else None
-  in
-  let race = detector (armed Invariant.Data_race) Race.create Race.handle in
-  let lockdep =
-    detector (armed Invariant.Lock_order) Lockdep.create Lockdep.handle
-  in
+  let b = make () in
+  let bus = Engine.bus b.engine in
+  let detector on create x = if on then Some (create x) else None in
+  let race = detector (armed Invariant.Data_race) Race.create bus in
+  let lockdep = detector (armed Invariant.Lock_order) Lockdep.create bus in
   let causal =
-    detector
-      (r.causal || armed Invariant.Lock_stall)
-      Causal.create Causal.handle
+    detector (r.causal || armed Invariant.Lock_stall) Causal.create bus
   in
   c.graph <- causal;
-  let b = make () in
-  (* Boot-time events were stamped 0 (correct: the engine starts there);
-     everything after reads the machine's clock. *)
-  Option.iter (fun g -> Causal.set_now g (fun () -> Engine.now b.engine)) causal;
   let capflow =
-    detector
-      (armed Invariant.Cap_provenance)
-      (fun () -> Capflow.create b.kernel)
-      Capflow.handle
+    detector (armed Invariant.Cap_provenance) Capflow.create b.kernel
   in
   register_trace r c (Kernel.trace b.kernel);
   Option.iter

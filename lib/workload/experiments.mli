@@ -52,8 +52,8 @@ type run = {
           graph), [Lock_stall] (R3, whole-run critical-path blame) and
           [Cap_provenance] (R4: the capflow stream detector, a scan at
           every fork's end, and the provenance clause of the final
-          sweep). Every armed detector subscribes to the one
-          {!Ufork_util.Hb} bus; a violation fails the run with
+          sweep). Every armed detector subscribes to the booted
+          machine's own bus; a violation fails the run with
           {!Ufork_analysis.Checker.Unsafe}. *)
   causal : bool;
       (** Collect the causal graph ({!Ufork_analysis.Causal}) for

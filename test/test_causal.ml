@@ -18,17 +18,18 @@ module E = Ufork_workload.Experiments
 
 (* {1 Unit: hand-fed timelines} *)
 
-(* A lock id far above anything Sync allocates in one test process, so
-   naming it cannot collide with a booted machine's registry. *)
 let test_lock = 991_991
 
+(* A collector on a bus of its own whose clock the test sets: [at t evs]
+   publishes [evs] at time [t]. *)
 let collector () =
-  let c = Causal.create () in
   let now = ref 0L in
-  Causal.set_now c (fun () -> !now);
+  let bus = Hb.create ~now:(fun () -> !now) () in
+  Hb.set_lock_name bus test_lock "lock.test";
+  let c = Causal.create bus in
   let at t evs =
     now := t;
-    List.iter (Causal.handle c) evs
+    List.iter (Hb.emit bus) evs
   in
   (c, at)
 
@@ -46,7 +47,6 @@ let check_tiling (r : Causal.report) =
     (List.fold_left (fun acc (_, c) -> Int64.add acc c) 0L r.Causal.r_blame)
 
 let test_handoff_chain () =
-  Hb.set_lock_name test_lock "lock.test";
   let c, at = collector () in
   at 0L [ Hb.Span_open { tid = 0; name = "main" } ];
   at 10L [ Hb.Spawn { parent = 0; child = 1 }; Hb.Wake { by = 0; target = 1 } ];
@@ -151,7 +151,13 @@ let test_storm_fork_window () =
            (Printf.sprintf
               "Causal.analyze_fork: fork %d out of range (%d completed)" 9999
               (List.length windows)))
-        (fun () -> ignore (Causal.analyze_fork g 9999)))
+        (fun () -> ignore (Causal.analyze_fork g 9999));
+      Alcotest.check_raises "negative fork index"
+        (Invalid_argument
+           (Printf.sprintf
+              "Causal.analyze_fork: fork -1 out of range (%d completed)"
+              (List.length windows)))
+        (fun () -> ignore (Causal.analyze_fork g (-1))))
 
 let test_storm_wait_counts_match_sync () =
   with_causal_storm (fun g ->
@@ -182,7 +188,6 @@ let contains ~needle hay =
   go 0
 
 let test_exports () =
-  Hb.set_lock_name test_lock "lock.test";
   let c, at = collector () in
   at 5L [ Hb.Span_open { tid = 0; name = "phase" } ];
   at 10L

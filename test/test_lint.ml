@@ -49,6 +49,7 @@ let seeded =
     ("fixture_d9.ml", "D9");
     ("fixture_d11.ml", "D11");
     ("fixture_d12.ml", "D12");
+    ("fixture_d14.ml", "D14");
     ("fixture_alias_d1.ml", "D1");
     ("fixture_open_d5.ml", "D5");
     ("fixture_e0.ml", "E0");
@@ -114,7 +115,8 @@ let test_clean_controls () =
       Alcotest.(check (list string)) file [] (ids (lint file)))
     [ "fixture_clean_comment.ml"; "fixture_clean_alias.ml";
       "fixture_clean_d6.ml"; "fixture_clean_d9.ml";
-      "fixture_clean_d11.ml"; "fixture_clean_d12.ml" ];
+      "fixture_clean_d11.ml"; "fixture_clean_d12.ml";
+      "fixture_clean_d14.ml" ];
   (* Ordered nesting, ascending shards and an annotation-declared custom
      pair satisfy the lock-order analysis. *)
   Alcotest.(check (list string))
@@ -150,8 +152,25 @@ let test_exemptions () =
   Alcotest.(check (list string))
     "fixture_root_d13.ml under lib/sas/kernel.ml" []
     (ids (capflow_lint ~path:"lib/sas/kernel.ml" "fixture_root_d13.ml"));
-  (* ...and test code is out of scope entirely. *)
-  check_clean "test/test_sim.ml" "fixture_d5.ml"
+  (* ...and test code is out of scope entirely, as are the front ends
+     for D14: a process-wide flag in bin/ shares nothing between
+     machines. *)
+  check_clean "test/test_sim.ml" "fixture_d5.ml";
+  check_clean "bin/ufork_sim.ml" "fixture_d14.ml"
+
+let test_global_ok_needs_reason () =
+  let lint_src source =
+    ids (Lint.lint_source ~path:"lib/workload/fixture.ml" ~source)
+  in
+  Alcotest.(check (list string))
+    "discharged with a reason" []
+    (lint_src "let c = ref 0 [@@ufork.global_ok \"one per process\"]");
+  Alcotest.(check (list string))
+    "discharge without a reason" [ "D14" ]
+    (lint_src "let c = ref 0 [@@ufork.global_ok]");
+  Alcotest.(check (list string))
+    "typed binding" [ "D14" ]
+    (lint_src "let t : (int, int) Hashtbl.t = Hashtbl.create 8")
 
 let test_finding_location () =
   (* Findings carry the file and a 1-based line number pointing at the
@@ -214,4 +233,6 @@ let suite =
     Alcotest.test_case "findings carry precise locations" `Quick
       test_finding_location;
     Alcotest.test_case "json export" `Quick test_json;
+    Alcotest.test_case "global state discharge needs a reason" `Quick
+      test_global_ok_needs_reason;
   ]

@@ -21,26 +21,29 @@ module Sync = Ufork_sim.Sync
 module Strategy = Ufork_core.Strategy
 module E = Ufork_workload.Experiments
 
-let replay events =
-  let d = Lockdep.create () in
-  let sub = Hb.subscribe (Lockdep.handle d) in
-  Fun.protect
-    ~finally:(fun () -> Hb.unsubscribe sub)
-    (fun () -> List.iter Hb.emit events);
-  d
-
-(* Stable ids for named test locks; registration is global and
-   idempotent. *)
+(* Stable ids for the named test locks. *)
 let lock_a = 9001
 let lock_b = 9002
 let shard i = 9100 + i
+let chain_names = [| "lock.q0"; "lock.q1"; "lock.q2"; "lock.q3" |]
+let chain_lock i = 9200 + i
 
-let () =
-  Hb.set_lock_name lock_a "lock.test.a";
-  Hb.set_lock_name lock_b "lock.test.b";
+(* A bus of its own for each replay, with every test lock named on it. *)
+let test_bus () =
+  let bus = Hb.create () in
+  Hb.set_lock_name bus lock_a "lock.test.a";
+  Hb.set_lock_name bus lock_b "lock.test.b";
   for i = 0 to 15 do
-    Hb.set_lock_name (shard i) (Printf.sprintf "lock.pt_shard.%02d" i)
-  done
+    Hb.set_lock_name bus (shard i) (Printf.sprintf "lock.pt_shard.%02d" i)
+  done;
+  Array.iteri (fun i n -> Hb.set_lock_name bus (chain_lock i) n) chain_names;
+  bus
+
+let replay events =
+  let bus = test_bus () in
+  let d = Lockdep.create bus in
+  List.iter (Hb.emit bus) events;
+  d
 
 let acq tid lock = Hb.Acquire { tid; lock }
 let rel tid lock = Hb.Release { tid; lock }
@@ -110,12 +113,6 @@ let test_events_seen () =
   Alcotest.(check int) "instrumentation counted" 2 (Lockdep.events_seen d)
 
 (* {1 qcheck: cycle detection against a reference digraph} *)
-
-let chain_names = [| "lock.q0"; "lock.q1"; "lock.q2"; "lock.q3" |]
-let chain_lock i = 9200 + i
-
-let () =
-  Array.iteri (fun i n -> Hb.set_lock_name (chain_lock i) n) chain_names
 
 (* A chain is a nested acquisition: locks taken in list order, released
    in reverse. Distinct locks within a chain, so the only possible
@@ -212,21 +209,18 @@ let test_pool_transfers_guarded_and_published () =
   let pool = Phys.create ~cores:1 () in
   let guarded = ref 0 and writes = ref 0 in
   Phys.set_pool_guard pool (fun f -> incr guarded; f ());
-  let sub =
-    Hb.subscribe (function
-      | Hb.Write { loc = Hb.Pool; _ } -> incr writes
-      | _ -> ())
-  in
-  Fun.protect ~finally:(fun () -> Hb.unsubscribe sub) (fun () ->
-      let frames = List.init 70 (fun _ -> Phys.alloc pool) in
-      List.iter (fun f -> Phys.release pool f) frames;
-      Alcotest.(check int) "one batched drain" 1 (Phys.drains pool);
-      let again = List.init 40 (fun _ -> Phys.alloc pool) in
-      Alcotest.(check int) "one batched refill" 1 (Phys.refills pool);
-      (* Releasing these pushes the freelist over the threshold once
-         more: a second drain. *)
-      List.iter (fun f -> Phys.release pool f) again;
-      Alcotest.(check int) "second batched drain" 2 (Phys.drains pool));
+  Hb.subscribe (Phys.bus pool) (function
+    | Hb.Write { loc = Hb.Pool; _ } -> incr writes
+    | _ -> ());
+  let frames = List.init 70 (fun _ -> Phys.alloc pool) in
+  List.iter (fun f -> Phys.release pool f) frames;
+  Alcotest.(check int) "one batched drain" 1 (Phys.drains pool);
+  let again = List.init 40 (fun _ -> Phys.alloc pool) in
+  Alcotest.(check int) "one batched refill" 1 (Phys.refills pool);
+  (* Releasing these pushes the freelist over the threshold once more: a
+     second drain. *)
+  List.iter (fun f -> Phys.release pool f) again;
+  Alcotest.(check int) "second batched drain" 2 (Phys.drains pool);
   Alcotest.(check int) "each transfer published one Pool write" 3 !writes;
   Alcotest.(check bool) "every transfer ran under the guard" true
     (!guarded >= !writes)
@@ -237,11 +231,9 @@ let test_unlocked_drain_races () =
      location. *)
   let pool_write tid = Hb.Write { tid; loc = Hb.Pool; site = "Phys.drain" } in
   let race events =
-    let d = Race.create () in
-    let sub = Hb.subscribe (Race.handle d) in
-    Fun.protect
-      ~finally:(fun () -> Hb.unsubscribe sub)
-      (fun () -> List.iter Hb.emit events);
+    let bus = test_bus () in
+    let d = Race.create bus in
+    List.iter (Hb.emit bus) events;
     d
   in
   let d = race [ pool_write 1; pool_write 2 ] in

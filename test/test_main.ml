@@ -19,4 +19,5 @@ let () =
       ("profile", Test_profile.suite);
       ("integration", Test_integration.suite);
       ("golden", Test_golden.suite);
+      ("cli", Test_cli.suite);
     ]

@@ -7,11 +7,19 @@
      writes yield exactly one race per location;
    - integration: a full checked run stays clean with the kernel locks
      on. The must-fail controls (no-bkl, unshard) are rows of the chaos
-     table, certified in test_analysis. *)
+     table, certified in test_analysis;
+   - isolation: detectors armed on one machine's bus see that machine
+     and no other, whether the other runs on a second domain at the same
+     time or boots after it in the same domain. *)
 
 module Vclock = Ufork_analysis.Vclock
 module Race = Ufork_analysis.Race
+module Lockdep = Ufork_analysis.Lockdep
+module Invariant = Ufork_analysis.Invariant
 module Hb = Ufork_util.Hb
+module Engine = Ufork_sim.Engine
+module Api = Ufork_sas.Api
+module Image = Ufork_sas.Image
 module Strategy = Ufork_core.Strategy
 module E = Ufork_workload.Experiments
 
@@ -70,11 +78,9 @@ let vclock_laws =
 (* {1 Unit: hand-fed event sequences} *)
 
 let replay events =
-  let d = Race.create () in
-  let sub = Hb.subscribe (Race.handle d) in
-  Fun.protect
-    ~finally:(fun () -> Hb.unsubscribe sub)
-    (fun () -> List.iter Hb.emit events);
+  let bus = Hb.create () in
+  let d = Race.create bus in
+  List.iter (Hb.emit bus) events;
   d
 
 let gauge_write tid = Hb.Write { tid; loc = Hb.Gauge "g"; site = "test" }
@@ -170,6 +176,90 @@ let test_locked_run_clean () =
       let r = E.hello_run (E.Ufork Strategy.Copa) in
       Alcotest.(check bool) "run completes" true (r.E.fork_latency_us > 0.))
 
+(* {1 Isolation between machines} *)
+
+(* A booted storm machine (one forker per core, each forking and
+   reaping [iters] children) with race and lockdep armed on its bus.
+   Booted outside any installed run, so nothing else is armed. *)
+let armed_storm (system, cores) =
+  let b = E.boot ~cores system in
+  let bus = Engine.bus b.E.engine in
+  let race = Race.create bus and lockdep = Lockdep.create bus in
+  for _ = 1 to cores do
+    ignore
+      (b.E.start ~image:Image.hello (fun api ->
+           let cell = api.Api.malloc 4096 in
+           api.Api.got_set 0 cell;
+           for _ = 1 to 3 do
+             ignore
+               (api.Api.fork (fun capi ->
+                    capi.Api.write_u64 (capi.Api.got_get 0) ~off:0 1L;
+                    capi.Api.exit 0));
+             ignore (api.Api.wait ());
+             api.Api.write_u64 cell ~off:0 2L
+           done))
+  done;
+  (b, race, lockdep)
+
+(* Everything the two detectors report about one machine. *)
+let verdict (b, race, lockdep) =
+  E.finish_run b;
+  ( Race.events_seen race,
+    Lockdep.events_seen lockdep,
+    Lockdep.edges lockdep,
+    List.map
+      (Format.asprintf "%a" Invariant.pp_violation)
+      (Race.violations race @ Lockdep.violations lockdep)
+  )
+
+let verdict_t =
+  Alcotest.(
+    pair (pair int int) (pair (list (pair string string)) (list string)))
+
+let flat (r, l, e, v) = ((r, l), (e, v))
+
+let solo m =
+  let ((b, _, _) as armed) = armed_storm m in
+  b.E.run ();
+  verdict armed
+
+let storms =
+  [ (E.Ufork Strategy.Copa, 16); (E.Cheribsd, 8) ]
+
+let test_concurrent_machines_isolated () =
+  let alone = List.map solo storms in
+  let together =
+    List.map
+      (fun m ->
+        Domain.spawn (fun () ->
+            let ((b, _, _) as armed) = armed_storm m in
+            b.E.run ();
+            verdict armed))
+      storms
+    |> List.map Domain.join
+  in
+  List.iter2
+    (fun a t ->
+      let (r, _, _, _) = a in
+      Alcotest.(check bool) "the detectors saw the run" true (r > 0);
+      Alcotest.check verdict_t "concurrent verdict = solo verdict" (flat a)
+        (flat t))
+    alone together
+
+let test_later_machine_invisible () =
+  let a = List.hd storms and b_sys = List.nth storms 1 in
+  let ((a_booted, a_race, a_lockdep) as armed_a) = armed_storm a in
+  let seen () = (Race.events_seen a_race, Lockdep.events_seen a_lockdep) in
+  let before = seen () in
+  let (b_booted, _, _) = armed_storm b_sys in
+  b_booted.E.run ();
+  E.finish_run b_booted;
+  Alcotest.(check (pair int int)) "A's detectors saw none of B's run" before
+    (seen ());
+  a_booted.E.run ();
+  Alcotest.check verdict_t "A's verdict = its solo verdict"
+    (flat (solo a)) (flat (verdict armed_a))
+
 let suite =
   List.map QCheck_alcotest.to_alcotest vclock_laws
   @ [
@@ -186,4 +276,8 @@ let suite =
       Alcotest.test_case "violations render as R1" `Quick
         test_violation_rendering;
       Alcotest.test_case "locked run is clean" `Quick test_locked_run_clean;
+      Alcotest.test_case "concurrent machines are isolated" `Quick
+        test_concurrent_machines_isolated;
+      Alcotest.test_case "a later machine is invisible" `Quick
+        test_later_machine_invisible;
     ]

@@ -48,7 +48,7 @@ let test_affinity () =
   let _ =
     Engine.spawn ~affinity:1 e (fun () ->
         Engine.advance 10L;
-        core2 := Engine.current_core ();
+        core2 := Engine.running_core e;
         t2 := Engine.current_time ())
   in
   Engine.run e;
@@ -219,7 +219,7 @@ let test_steal_rehomes () =
   let _ = Engine.spawn e (fun () -> Engine.advance 10L) in
   let _ =
     Engine.spawn e (fun () ->
-        t3_core := Engine.current_core ();
+        t3_core := Engine.running_core e;
         t3_time := Engine.current_time ();
         Engine.advance 10L)
   in
@@ -241,7 +241,7 @@ let test_pinned_blocked_does_not_shadow () =
   let _ =
     Engine.spawn e (fun () ->
         c_time := Engine.current_time ();
-        c_core := Engine.current_core ())
+        c_core := Engine.running_core e)
   in
   Engine.run e;
   Alcotest.(check int64) "pinned waits for its core" 100L !b_time;

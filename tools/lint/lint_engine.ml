@@ -104,6 +104,13 @@ let identity_fields = [ "frame"; "pt" ]
 
 let order_independent_attr = "ufork.order_independent"
 
+(* Constructors of process-global mutable state (D14) when bound at the
+   top level of a lib/ module. *)
+let global_state_targets =
+  [ [ "Atomic"; "make" ]; [ "Hashtbl"; "create" ]; [ "Mutex"; "create" ] ]
+
+let global_ok_attr = "ufork.global_ok"
+
 (* {1 Per-file analysis} *)
 
 type ctx = {
@@ -393,10 +400,85 @@ let collect_bindings ctx (str : structure) =
       ctx.aliases;
   ctx.opens <- List.map (resolve ctx) ctx.opens
 
+(* D14: a module-level binding whose value is fresh mutable state.
+   Walks the top level and every nested [module M = struct ... end]; a
+   binding is discharged by [@@ufork.global_ok "reason"], and the reason
+   is mandatory. *)
+let rec check_globals ctx (str : structure) =
+  let rec fresh_state e =
+    match e.pexp_desc with
+    | Pexp_constraint (e, _) -> fresh_state e
+    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) -> (
+        match resolve ctx (Longident.flatten txt) with
+        | [ "ref" ] | [ "Stdlib"; "ref" ] -> Some "ref"
+        | p ->
+            List.find_opt (matches ctx p) global_state_targets
+            |> Option.map name_of_target)
+    | _ -> None
+  in
+  (* [Some reason] when discharged; an empty reason does not count. *)
+  let discharge (vb : value_binding) =
+    List.find_map
+      (fun a ->
+        if a.attr_name.Location.txt <> global_ok_attr then None
+        else
+          match a.attr_payload with
+          | PStr
+              [
+                {
+                  pstr_desc =
+                    Pstr_eval
+                      ( {
+                          pexp_desc = Pexp_constant (Pconst_string (r, _, _));
+                          _;
+                        },
+                        _ );
+                  _;
+                };
+              ] ->
+              Some (String.trim r)
+          | _ -> Some "")
+      vb.pvb_attributes
+  in
+  let rec nested me =
+    match me.pmod_desc with
+    | Pmod_structure str -> check_globals ctx str
+    | Pmod_constraint (me, _) -> nested me
+    | _ -> ()
+  in
+  List.iter
+    (fun item ->
+      match item.pstr_desc with
+      | Pstr_value (_, vbs) ->
+          List.iter
+            (fun vb ->
+              match (fresh_state vb.pvb_expr, discharge vb) with
+              | None, _ -> ()
+              | Some _, Some r when r <> "" -> ()
+              | Some what, Some _ ->
+                  report ctx Lint_rules.process_global vb.pvb_loc
+                    (Printf.sprintf
+                       "[@@%s] on this %s needs a reason: [@@%s \"why it \
+                        is process-wide\"]"
+                       global_ok_attr what global_ok_attr)
+              | Some what, None ->
+                  report ctx Lint_rules.process_global vb.pvb_loc
+                    (Printf.sprintf
+                       "module-level %s is process-global state shared by \
+                        every machine: move it into the machine, or mark \
+                        it [@@%s \"reason\"]"
+                       what global_ok_attr))
+            vbs
+      | Pstr_module mb -> nested mb.pmb_expr
+      | Pstr_recmodule mbs -> List.iter (fun mb -> nested mb.pmb_expr) mbs
+      | _ -> ())
+    str
+
 (* {1 Entry points} *)
 
 let lint_structure ctx (str : structure) =
   collect_bindings ctx str;
+  check_globals ctx str;
   let it = iterator ctx in
   List.iter
     (fun item ->

@@ -8,7 +8,7 @@
    the mechanism", never a blanket opt-out. *)
 
 type t = {
-  id : string;  (* stable short id: "D1".."D12", "E0" *)
+  id : string;  (* stable short id: "D1".."D14", "E0" *)
   name : string;  (* kebab-case slug *)
   severity : string;  (* "critical" | "error" — mirrors Invariant.severity *)
   summary : string;  (* one line, shown next to findings *)
@@ -219,6 +219,21 @@ let capflow =
     applies = (fun p -> in_scanned p && not (under "lib/cheri/" p));
   }
 
+let process_global =
+  {
+    id = "D14";
+    name = "no-process-global-state";
+    severity = "error";
+    summary =
+      "a top-level ref, Atomic.make, Hashtbl.create or Mutex.create in \
+       lib/ (nested modules included) is state every machine in the \
+       process shares — one machine's run leaks into the next and \
+       domain-parallel sweeps race on it; keep the state in the machine \
+       (engine, kernel, frame pool, bus) or discharge a deliberate \
+       process-wide value with [@@ufork.global_ok \"reason\"]";
+    applies = under "lib/";
+  }
+
 let parse_error =
   {
     id = "E0";
@@ -232,7 +247,7 @@ let all =
   [
     charging; page_copy; fork_dup; gauge_key; wall_clock; hashtbl_order;
     poly_compare; obj_magic; biglock; lockdep; string_keyed_emission;
-    hb_publish; capflow;
+    hb_publish; capflow; process_global;
   ]
 
 (* {1 Catalogue rendering}
