@@ -18,6 +18,18 @@ type mapping = {
   table_owner : Uproc.t option;  (* the table's process on multi-AS *)
 }
 
+(* Violation subjects are formatted only when [add] records one: a
+   healthy sweep touches every frame, mapping and stored capability. *)
+let frame_subject fid = Printf.sprintf "frame %d" fid
+
+let mapping_subject owner_area vpn =
+  match owner_area with
+  | Some (_, _, pid) -> Printf.sprintf "pid %d vpn %#x" pid vpn
+  | None -> Printf.sprintf "vpn %#x" vpn
+
+let granule_subject owner_area vpn g =
+  Printf.sprintf "%s granule %d" (mapping_subject owner_area vpn) g
+
 let sweep ?(provenance = false) k =
   let phys = Kernel.phys k in
   let multi_as = Kernel.multi_address_space k in
@@ -80,14 +92,13 @@ let sweep ?(provenance = false) k =
   let live = ref 0 in
   Phys.iter_frames phys (fun f ->
       let fid = Phys.id f in
-      let subject = Printf.sprintf "frame %d" fid in
       let rc = Phys.refcount f in
       let maps = List.length (mappings_of fid) in
       if rc > 0 then begin
         incr live;
         let expected = maps + if Hashtbl.mem named fid then 1 else 0 in
         if rc <> expected then
-          add Refcount_mismatch subject
+          add Refcount_mismatch (frame_subject fid)
             (Printf.sprintf
                "refcount %d but %d mapping(s)%s — %s" rc maps
                (if Hashtbl.mem named fid then " + 1 named-segment reference"
@@ -97,12 +108,12 @@ let sweep ?(provenance = false) k =
       end
       else begin
         if maps > 0 then
-          add Free_frame_state subject
+          add Free_frame_state (frame_subject fid)
             (Printf.sprintf "free (refcount %d) but still mapped %d time(s)"
                rc maps);
         let tags = Page.tagged_count (Phys.page f) in
         if tags > 0 then
-          add Free_frame_state subject
+          add Free_frame_state (frame_subject fid)
             (Printf.sprintf
                "free but %d granule(s) still hold valid capabilities" tags)
       end);
@@ -131,14 +142,9 @@ let sweep ?(provenance = false) k =
               else None
             else area_of_addr addr
           in
-          let subject =
-            match owner_area with
-            | Some (_, _, pid) -> Printf.sprintf "pid %d vpn %#x" pid vpn
-            | None -> Printf.sprintf "vpn %#x" vpn
-          in
           (* S8: no mapping outside a live-or-zombie process area. *)
           if owner_area = None then
-            add Orphan_mapping subject
+            add Orphan_mapping (mapping_subject owner_area vpn)
               (if multi_as && owner.Uproc.state = Uproc.Reaped then
                  Printf.sprintf "mapping of frame %d survives pid %d's reap"
                    fid owner.Uproc.pid
@@ -149,17 +155,17 @@ let sweep ?(provenance = false) k =
           (* S4/S5: share-mode / permission coherence. *)
           (match pte.Pte.share with
           | Pte.Cow_shared when pte.Pte.write ->
-              add Cow_writable subject
+              add Cow_writable (mapping_subject owner_area vpn)
                 (Printf.sprintf "CoW-shared frame %d mapped writable" fid)
           | Pte.Copa_shared
             when (not pte.Pte.cap_load_fault) || pte.Pte.write ->
-              add Share_perms subject
+              add Share_perms (mapping_subject owner_area vpn)
                 (Printf.sprintf
                    "CoPA-shared frame %d: cap_load_fault=%b write=%b \
                     (want trap on cap loads, never write-through)"
                    fid pte.Pte.cap_load_fault pte.Pte.write)
           | Pte.Coa_shared when pte.Pte.read || pte.Pte.write ->
-              add Share_perms subject
+              add Share_perms (mapping_subject owner_area vpn)
                 (Printf.sprintf
                    "CoA-shared frame %d: read=%b write=%b (every access \
                     must fault)"
@@ -168,14 +174,14 @@ let sweep ?(provenance = false) k =
           (* S6: Shm mappings <-> named-segment frames. *)
           (match pte.Pte.share with
           | Pte.Shm_shared when not is_named ->
-              add Shm_coherence subject
+              add Shm_coherence (mapping_subject owner_area vpn)
                 (Printf.sprintf
                    "Shm_shared mapping of anonymous frame %d (not in any \
                     named segment)"
                    fid)
           | (Pte.Private | Pte.Cow_shared | Pte.Coa_shared | Pte.Copa_shared)
             when is_named ->
-              add Shm_coherence subject
+              add Shm_coherence (mapping_subject owner_area vpn)
                 (Printf.sprintf
                    "named-segment frame %d (%s) mapped %s — deliberate \
                     sharing must never be privately copied"
@@ -197,12 +203,11 @@ let sweep ?(provenance = false) k =
             | Some (base, bytes, opid) ->
                 Page.iter_caps (Phys.page pte.Pte.frame) (fun g cap ->
                     if not (Capability.is_sealed cap) then
-                      let gran = Printf.sprintf "%s granule %d" subject g in
                       (* R4 (capflow armed): the provenance stamp must
                          match the holding area — the taint diagnosis
                          subsumes the untyped wild-capability report. *)
                       if provenance && Capability.prov cap <> base then
-                        add Cap_provenance gran
+                        add Cap_provenance (granule_subject owner_area vpn g)
                           (Printf.sprintf
                              "stored capability carries %s but sits in \
                               area [%#x..%#x)"
@@ -228,21 +233,23 @@ let sweep ?(provenance = false) k =
                             (* S11: the reverse-direction fork leak — a
                                parent page still grants authority over
                                its child's area. *)
-                            add Parent_child_leak gran
+                            add Parent_child_leak
+                              (granule_subject owner_area vpn g)
                               (Printf.sprintf
                                  "parent pid %d stores capability \
                                   [%#x..%#x) into child pid %d's area"
                                  opid (Capability.base cap)
                                  (Capability.limit cap) pid2)
                         | Some (_, _, pid2) when pid2 <> opid ->
-                            add Cross_area_cap gran
+                            add Cross_area_cap
+                              (granule_subject owner_area vpn g)
                               (Printf.sprintf
                                  "stored capability [%#x..%#x) reaches pid \
                                   %d's area"
                                  (Capability.base cap) (Capability.limit cap)
                                  pid2)
                         | _ ->
-                            add Cap_bounds gran
+                            add Cap_bounds (granule_subject owner_area vpn g)
                               (Printf.sprintf
                                  "stored capability [%#x..%#x) escapes the \
                                   owner area [%#x..%#x)"
@@ -258,7 +265,7 @@ let sweep ?(provenance = false) k =
         | [] | [ _ ] -> ()
         | ms when List.for_all (fun m -> m.pte.Pte.share = Pte.Private) ms ->
             add Private_aliased
-              (Printf.sprintf "frame %d" fid)
+              (frame_subject fid)
               (Printf.sprintf
                  "mapped %d times (vpns %s) yet every mapping is Private — \
                   a write through one alias would silently leak to the \

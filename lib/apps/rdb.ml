@@ -12,58 +12,65 @@ let serialize_cost len = Int64.of_int (len + (len / 2) + (len / 20))
 
 let chunk = 64 * 1024
 
-let put_u32 buf v =
-  Buffer.add_char buf (Char.chr (v land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xff))
+(* Byte sum of [b.[pos..pos+len)], the dump's checksum arithmetic. *)
+let sum_bytes b ~pos ~len acc =
+  let s = ref acc in
+  for i = pos to pos + len - 1 do
+    s := !s + Char.code (Bytes.unsafe_get b i)
+  done;
+  !s land 0xffffffff
 
 let save_to (api : Api.t) store ~path =
   let tmp = path ^ ".tmp" in
   let fd = api.Api.open_ tmp `Create in
   let written = ref 0 in
   let checksum = ref 0 in
-  let pending = Buffer.create (2 * chunk) in
-  let flush_pending ~all () =
-    while Buffer.length pending >= chunk || (all && Buffer.length pending > 0)
-    do
-      let n = min chunk (Buffer.length pending) in
-      let b = Bytes.of_string (Buffer.sub pending 0 n) in
-      let rest = Buffer.sub pending n (Buffer.length pending - n) in
-      Buffer.clear pending;
-      Buffer.add_string pending rest;
-      written := !written + api.Api.write fd b
+  (* One staging chunk: each write hands the kernel exactly [chunk] bytes
+     (the last one, the remainder), at the same boundaries as streaming
+     the whole dump through a buffer. *)
+  let stage = Bytes.create chunk and staged = ref 0 in
+  let flush () =
+    let b = if !staged = chunk then stage else Bytes.sub stage 0 !staged in
+    written := !written + api.Api.write fd b;
+    staged := 0
+  in
+  let append src ~pos ~len =
+    let pos = ref pos and left = ref len in
+    while !left > 0 do
+      let n = min !left (chunk - !staged) in
+      Bytes.blit src !pos stage !staged n;
+      staged := !staged + n;
+      pos := !pos + n;
+      left := !left - n;
+      if !staged = chunk then flush ()
     done
   in
-  let emit s =
-    String.iter (fun c -> checksum := (!checksum + Char.code c) land 0xffffffff) s;
-    Buffer.add_string pending s;
-    api.Api.compute (serialize_cost (String.length s));
-    flush_pending ~all:false ()
+  let emit src ~pos ~len =
+    checksum := sum_bytes src ~pos ~len !checksum;
+    api.Api.compute (serialize_cost len);
+    append src ~pos ~len
+  in
+  let u32s = Bytes.create 12 in
+  let emit_u32s vs =
+    List.iteri (fun i v -> Bytes.set_int32_le u32s (4 * i) (Int32.of_int v)) vs;
+    emit u32s ~pos:0 ~len:(4 * List.length vs)
   in
   api.Api.compute bgsave_fixed_compute;
   (* The rio output buffer: real Redis allocates it per save; on CheriBSD
      this first allocation in the forked child is what re-dirties the
      allocator arena (Fig. 5). *)
   let iobuf = api.Api.malloc chunk in
-  Buffer.add_string pending magic;
-  written := !written; (* magic is not checksummed *)
+  (* The magic is neither charged nor checksummed. *)
+  append (Bytes.unsafe_of_string magic) ~pos:0 ~len:(String.length magic);
   let entries = ref 0 in
   Kvstore.iter store (fun ~key ~value_len:_ ~read_value ->
       incr entries;
       let value = read_value () in
-      let hdr = Buffer.create 16 in
-      put_u32 hdr (String.length key);
-      put_u32 hdr (Bytes.length value);
-      emit (Buffer.contents hdr);
-      emit key;
-      emit (Bytes.to_string value));
-  let footer = Buffer.create 16 in
-  put_u32 footer 0xffffffff;
-  put_u32 footer !entries;
-  put_u32 footer !checksum;
-  emit (Buffer.contents footer);
-  flush_pending ~all:true ();
+      emit_u32s [ String.length key; Bytes.length value ];
+      emit (Bytes.unsafe_of_string key) ~pos:0 ~len:(String.length key);
+      emit value ~pos:0 ~len:(Bytes.length value));
+  emit_u32s [ 0xffffffff; !entries; !checksum ];
+  if !staged > 0 then flush ();
   api.Api.close fd;
   api.Api.rename ~src:tmp ~dst:path;
   api.Api.free iobuf;
@@ -73,7 +80,6 @@ type bgsave_result = {
   fork_latency_cycles : int64;
   total_cycles : int64;
   child_pid : int;
-  bytes_written : int;
 }
 
 let bgsave (api : Api.t) _store ~path =
@@ -91,8 +97,7 @@ let bgsave (api : Api.t) _store ~path =
   in
   wait_for ();
   let total_cycles = Int64.sub (api.Api.now ()) t0 in
-  let bytes_written = 0 in
-  { fork_latency_cycles; total_cycles; child_pid; bytes_written }
+  { fork_latency_cycles; total_cycles; child_pid }
 
 (* Host-side parsing for verification. *)
 
@@ -102,47 +107,46 @@ let get_u32 s off =
   lor (Char.code s.[off + 2] lsl 16)
   lor (Char.code s.[off + 3] lsl 24)
 
-let verify contents =
+let iter_entries contents f =
   let fail fmt = Printf.ksprintf failwith fmt in
   let len = String.length contents in
-  if len < String.length magic + 12 then fail "rdb: truncated";
-  if String.sub contents 0 (String.length magic) <> magic then
-    fail "rdb: bad magic";
-  let pos = ref (String.length magic) in
-  let checksum = ref 0 in
-  let add s =
-    String.iter (fun c -> checksum := (!checksum + Char.code c) land 0xffffffff) s
-  in
-  let entries = ref [] in
-  let rec loop () =
-    if !pos + 4 > len then fail "rdb: truncated at %d" !pos;
-    let klen = get_u32 contents !pos in
+  let mlen = String.length magic in
+  if len < mlen + 12 then fail "rdb: truncated";
+  if not (String.starts_with ~prefix:magic contents) then fail "rdb: bad magic";
+  let bytes = Bytes.unsafe_of_string contents in
+  let rec loop pos checksum count =
+    if pos + 4 > len then fail "rdb: truncated at %d" pos;
+    let klen = get_u32 contents pos in
     if klen = 0xffffffff then begin
       (* Footer: end marker, entry count, checksum of everything before. *)
-      if !pos + 12 > len then fail "rdb: truncated footer";
-      let n = get_u32 contents (!pos + 4) in
-      let sum = get_u32 contents (!pos + 8) in
-      if n <> List.length !entries then fail "rdb: entry count mismatch";
-      if sum <> !checksum then fail "rdb: bad checksum";
-      ()
+      if pos + 12 > len then fail "rdb: truncated footer";
+      if get_u32 contents (pos + 4) <> count then
+        fail "rdb: entry count mismatch";
+      if get_u32 contents (pos + 8) <> checksum then fail "rdb: bad checksum";
+      count
     end
     else begin
-      if !pos + 8 > len then fail "rdb: truncated header";
-      let vlen = get_u32 contents (!pos + 4) in
-      add (String.sub contents !pos 8);
-      pos := !pos + 8;
-      if !pos + klen + vlen > len then fail "rdb: truncated entry";
-      let key = String.sub contents !pos klen in
-      add key;
-      pos := !pos + klen;
-      let value = String.sub contents !pos vlen in
-      add value;
-      pos := !pos + vlen;
-      entries := (key, Bytes.of_string value) :: !entries;
-      loop ()
+      if pos + 8 > len then fail "rdb: truncated header";
+      let vlen = get_u32 contents (pos + 4) in
+      let key_off = pos + 8 in
+      let val_off = key_off + klen in
+      if val_off + vlen > len then fail "rdb: truncated entry";
+      f ~key_off ~klen ~val_off ~vlen;
+      let next = val_off + vlen in
+      loop next (sum_bytes bytes ~pos ~len:(next - pos) checksum) (count + 1)
     end
   in
-  loop ();
+  loop mlen 0 0
+
+let verify contents =
+  let entries = ref [] in
+  let bytes = Bytes.unsafe_of_string contents in
+  ignore
+    (iter_entries contents (fun ~key_off ~klen ~val_off ~vlen ->
+         entries :=
+           (String.sub contents key_off klen, Bytes.sub bytes val_off vlen)
+           :: !entries));
   List.rev !entries
 
-let load_count contents = List.length (verify contents)
+let load_count contents =
+  iter_entries contents (fun ~key_off:_ ~klen:_ ~val_off:_ ~vlen:_ -> ())

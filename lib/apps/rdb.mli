@@ -20,13 +20,21 @@ type bgsave_result = {
       (** Trigger-to-completion time of the whole background save (what
           Fig. 3 reports). *)
   child_pid : int;
-  bytes_written : int;
 }
 
 val bgsave : Ufork_sas.Api.t -> Kvstore.t -> path:string -> bgsave_result
 (** Fork a snapshot child, wait for it, return the timings. The parent is
     free to mutate the store while the child dumps: the child sees the
     fork-instant state. *)
+
+val iter_entries :
+  string -> (key_off:int -> klen:int -> val_off:int -> vlen:int -> unit) -> int
+(** The one dump parser, in place: [iter_entries dump f] calls [f] with
+    the offsets of each entry's key and value inside [dump], in file
+    order, then checks the footer's entry count and checksum and returns
+    the count. Raises [Failure] on a corrupt file or bad checksum — after
+    [f] has seen the entries before the corruption, so a caller must not
+    trust what [f] saw until this returns. *)
 
 val load_count : string -> int
 (** Parse a dump (host-side verification helper): returns the number of

@@ -33,10 +33,7 @@ let restore_perms (u : Uproc.t) ~vpn (pte : Pte.t) =
    capability granules, tags preserved. Everything that copies a page —
    eager fork copies, CoW/CoA/CoPA resolutions, VM cloning — comes
    through here. *)
-let copy_page_contents ~src ~dst =
-  Page.write_bytes dst ~off:0 (Page.read_bytes src ~off:0 ~len:Addr.page_size);
-  Page.iter_caps src (fun g cap ->
-      Page.store_cap dst ~off:(g * Addr.granule_size) cap)
+let copy_page_contents ~src ~dst = Page.copy_into ~src ~dst
 
 let duplicate_frame k u frame =
   let fresh = Kernel.fresh_frame k u in

@@ -25,15 +25,35 @@ let clear_tags_in t ~off ~len =
     done
   end
 
+let check_buffer b pos len =
+  if pos < 0 || len < 0 || pos + len > Bytes.length b then
+    invalid_arg "Page: buffer range out of bounds"
+
 let read_bytes t ~off ~len =
   check_range off len;
   Bytes.sub t.data off len
 
-let write_bytes t ~off b =
-  let len = Bytes.length b in
+let blit_out t ~off dst ~pos ~len =
   check_range off len;
+  check_buffer dst pos len;
+  Bytes.blit t.data off dst pos len
+
+let blit_in src ~pos t ~off ~len =
+  check_range off len;
+  check_buffer src pos len;
   clear_tags_in t ~off ~len;
-  Bytes.blit b 0 t.data off len
+  Bytes.blit src pos t.data off len
+
+let write_bytes t ~off b = blit_in b ~pos:0 t ~off ~len:(Bytes.length b)
+
+(* Stored capabilities already mirror their cursor into [data], so one
+   byte blit plus the tag table is the whole page. *)
+let copy_into ~src ~dst =
+  Bytes.blit src.data 0 dst.data 0 Addr.page_size;
+  Hashtbl.reset dst.caps;
+  (* Table-to-table copy keyed by granule: traversal order cannot leak. *)
+  (Hashtbl.iter (fun g cap -> Hashtbl.replace dst.caps g cap)
+     src.caps [@ufork.order_independent])
 
 let read_u8 t ~off =
   check_range off 1;

@@ -30,6 +30,21 @@ val read_bytes : t -> off:int -> len:int -> bytes
 val write_bytes : t -> off:int -> bytes -> unit
 (** Clears the tag of every granule the write overlaps. *)
 
+val blit_out : t -> off:int -> bytes -> pos:int -> len:int -> unit
+(** [blit_out p ~off dst ~pos ~len] copies page bytes [[off, off+len)]
+    into [dst] at [pos]: {!read_bytes} without the temporary. Raises
+    [Invalid_argument] if either range is out of bounds. *)
+
+val blit_in : bytes -> pos:int -> t -> off:int -> len:int -> unit
+(** [blit_in src ~pos p ~off ~len] copies [src.[pos..pos+len)] into the
+    page at [off] and clears the tag of every overlapped granule, as
+    {!write_bytes} does. Both ranges are checked before anything
+    changes. *)
+
+val copy_into : src:t -> dst:t -> unit
+(** Overwrite [dst] with [src]: every byte and every tagged capability,
+    tags preserved; [dst]'s previous tags are gone. [src] is untouched. *)
+
 val read_u8 : t -> off:int -> int
 val write_u8 : t -> off:int -> int -> unit
 val read_u64 : t -> off:int -> int64

@@ -81,8 +81,7 @@ let read_bytes pt ~via ~addr ~len =
     check_span pt ~addr ~len ~access:Read;
     let out = Bytes.create len in
     iter_fragments ~addr ~len (fun ~frag_addr ~off ~pos ~len ->
-        let p = page_of pt ~addr:frag_addr in
-        Bytes.blit (Page.read_bytes p ~off ~len) 0 out pos len);
+        Page.blit_out (page_of pt ~addr:frag_addr) ~off out ~pos ~len);
     out
   end
 
@@ -92,8 +91,7 @@ let write_bytes pt ~via ~addr b =
   if len > 0 then begin
     check_span pt ~addr ~len ~access:Write;
     iter_fragments ~addr ~len (fun ~frag_addr ~off ~pos ~len ->
-        let p = page_of pt ~addr:frag_addr in
-        Page.write_bytes p ~off (Bytes.sub b pos len))
+        Page.blit_in b ~pos (page_of pt ~addr:frag_addr) ~off ~len)
   end
 
 let read_u64 pt ~via ~addr =
@@ -143,14 +141,14 @@ let kernel_read_bytes pt ~addr ~len =
   let out = Bytes.create len in
   iter_fragments ~addr ~len (fun ~frag_addr ~off ~pos ~len ->
       let p = kernel_page pt ~vpn:(Addr.vpn_of_addr frag_addr) in
-      Bytes.blit (Page.read_bytes p ~off ~len) 0 out pos len);
+      Page.blit_out p ~off out ~pos ~len);
   out
 
 let kernel_write_bytes pt ~addr b =
   let len = Bytes.length b in
   iter_fragments ~addr ~len (fun ~frag_addr ~off ~pos ~len ->
       let p = kernel_page pt ~vpn:(Addr.vpn_of_addr frag_addr) in
-      Page.write_bytes p ~off (Bytes.sub b pos len))
+      Page.blit_in b ~pos p ~off ~len)
 
 let kernel_store_cap pt ~addr cap =
   require_granule_aligned addr;

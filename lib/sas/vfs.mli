@@ -3,7 +3,8 @@
     The evaluation stores Redis dumps and Nginx document roots on a
     ram-disk "minimizing I/O latency" (§5.1); this VFS models exactly that:
     named growable byte files, no block layer. Costs are charged by the
-    syscall layer, not here. *)
+    syscall layer, not here. On the host a file is stored in 64 KiB
+    blocks, so growing it never re-copies its bytes. *)
 
 type t
 type file
@@ -19,7 +20,8 @@ val read : file -> int -> bytes
 (** Sequential read from the file cursor; short result at EOF. *)
 
 val write : file -> bytes -> int
-(** Sequential write at the cursor, growing the file; returns the count. *)
+(** Sequential write at the cursor, growing the file; returns the count.
+    A write past the end leaves a hole that reads back as zeros. *)
 
 val seek : file -> int -> unit
 val size_of : file -> int

@@ -19,6 +19,14 @@ val expected_entries :
   entries:int -> value_len:int -> seed:int64 -> (string * bytes) list
 (** What a dump of the populated store must contain (sorted by key). *)
 
+val dump_matches :
+  entries:int -> value_len:int -> seed:int64 -> string -> bool
+(** Whether a dump holds exactly the populated store: it parses with a
+    good checksum, every key is [key i] for a distinct [0 <= i < entries],
+    each value is byte-for-byte [value ~seed ~index:i ~len:value_len], and
+    there are [entries] of them. Streams the dump in place, regenerating
+    one value at a time, so it never holds a second copy of the DB. *)
+
 val db_sizes_of_paper : (string * int * int) list
 (** Fig. 3–5 sweep: (label, entries, value_len) from 100 KB to 100 MB of
     100 KB entries. *)

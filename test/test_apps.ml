@@ -293,6 +293,120 @@ let test_rdb_bgsave_result () =
     (r.Rdb.fork_latency_cycles < r.Rdb.total_cycles);
   Alcotest.(check bool) "latency positive" true (r.Rdb.fork_latency_cycles > 0L)
 
+(* A fixed store whose dump crosses several 64 KiB write chunks: values
+   of assorted sizes, one empty, one larger than a chunk. *)
+let fixed_store_dump () =
+  run_os (fun os api ->
+      let calls = Buffer.create 256 and recording = ref false in
+      let note fmt =
+        Printf.ksprintf
+          (fun s -> if !recording then Buffer.add_string calls s)
+          fmt
+      in
+      let api =
+        {
+          api with
+          Api.compute =
+            (fun c ->
+              note "c%Ld;" c;
+              api.Api.compute c);
+          write =
+            (fun fd b ->
+              note "w%d;" (Bytes.length b);
+              api.Api.write fd b);
+        }
+      in
+      let kv = Kvstore.create api () in
+      List.iteri
+        (fun i len ->
+          Kvstore.set kv
+            ~key:(Printf.sprintf "key-%d" i)
+            ~value:(Bytes.init len (fun j -> Char.chr ((i * 7 + j) land 0xff))))
+        [ 10; 0; 30_000; 70_000; 65_536; 12_345; 100 * 1024 ];
+      recording := true;
+      ignore (Rdb.save_to api kv ~path:"/fixed.rdb");
+      recording := false;
+      ( Vfs.contents (Kernel.vfs (Os.kernel os)) "/fixed.rdb",
+        Buffer.contents calls ))
+
+(* Digests taken on the serializer that streamed through a growing
+   Buffer: the dump bytes, and the sequence of compute charges and write
+   sizes it issued. A staging-buffer rewrite must reproduce both. *)
+let test_rdb_fixed_dump_unchanged () =
+  let dump, calls = fixed_store_dump () in
+  Alcotest.(check int) "dump size" 280402 (String.length dump);
+  Alcotest.(check string) "dump digest" "fb6a49555c0506b67b8ecdb7ff17fd1c"
+    (Digest.to_hex (Digest.string dump));
+  Alcotest.(check string) "compute/write call sequence"
+    "f273323142f9a668809cdc2c25fe1713"
+    (Digest.to_hex (Digest.string calls));
+  Alcotest.(check int) "load_count" 7 (Rdb.load_count dump);
+  let seen = ref [] in
+  let n =
+    Rdb.iter_entries dump (fun ~key_off ~klen ~val_off:_ ~vlen ->
+        seen := (String.sub dump key_off klen, vlen) :: !seen)
+  in
+  Alcotest.(check int) "iter_entries count" 7 n;
+  Alcotest.(check (list (pair string int)))
+    "iter_entries agrees with verify"
+    (List.map (fun (k, v) -> (k, Bytes.length v)) (Rdb.verify dump))
+    (List.rev !seen)
+
+(* Keyspace.dump_matches against hand-built dumps: the encoder below is
+   the file format, so each case differs from a good dump in one way. *)
+module Keyspace = Ufork_workload.Keyspace
+
+let encode_dump ?checksum entries =
+  let b = Buffer.create 1024 in
+  let u32 v = Buffer.add_int32_le b (Int32.of_int v) in
+  Buffer.add_string b Rdb.magic;
+  let sum = ref 0 in
+  List.iter
+    (fun (k, v) ->
+      let start = Buffer.length b in
+      u32 (String.length k);
+      u32 (Bytes.length v);
+      Buffer.add_string b k;
+      Buffer.add_bytes b v;
+      String.iter
+        (fun c -> sum := (!sum + Char.code c) land 0xffffffff)
+        (Buffer.sub b start (Buffer.length b - start)))
+    entries;
+  u32 0xffffffff;
+  u32 (List.length entries);
+  u32 (Option.value checksum ~default:!sum);
+  Buffer.contents b
+
+let test_dump_matches () =
+  let seed = 7L and value_len = 300 and entries = 3 in
+  let entry i =
+    (Keyspace.key i, Keyspace.value ~seed ~index:i ~len:value_len)
+  in
+  let matches dump = Keyspace.dump_matches ~entries ~value_len ~seed dump in
+  let check name want dump = Alcotest.(check bool) name want (matches dump) in
+  check "good dump, any order" true (encode_dump [ entry 2; entry 0; entry 1 ]);
+  let flipped =
+    let k, v = entry 1 in
+    let v = Bytes.copy v in
+    Bytes.set v 123 (Char.chr (Char.code (Bytes.get v 123) lxor 1));
+    (k, v)
+  in
+  check "flipped value byte (checksum recomputed)" false
+    (encode_dump [ entry 0; flipped; entry 2 ]);
+  let good = encode_dump [ entry 0; entry 1; entry 2 ] in
+  let corrupt = Bytes.of_string good in
+  Bytes.set corrupt 40 (Char.chr (Char.code (Bytes.get corrupt 40) lxor 1));
+  check "flipped value byte (stale checksum)" false (Bytes.to_string corrupt);
+  check "duplicated key" false (encode_dump [ entry 0; entry 1; entry 1 ]);
+  check "missing key" false (encode_dump [ entry 0; entry 2 ]);
+  check "key out of range" false (encode_dump [ entry 0; entry 1; entry 3 ]);
+  check "short value" false
+    (encode_dump
+       [ entry 0; entry 1; (Keyspace.key 2, Bytes.sub (snd (entry 2)) 0 299) ]);
+  check "bad checksum" false
+    (encode_dump ~checksum:12345 [ entry 0; entry 1; entry 2 ]);
+  check "not a dump" false "garbage"
+
 (* --- Aof --- *)
 
 module Aof = Ufork_apps.Aof
@@ -639,6 +753,8 @@ let suite =
     ("rdb roundtrip", `Quick, test_rdb_roundtrip);
     ("rdb corruption", `Quick, test_rdb_detects_corruption);
     ("rdb bad magic", `Quick, test_rdb_bad_magic);
+    ("rdb fixed dump unchanged", `Quick, test_rdb_fixed_dump_unchanged);
+    ("keyspace dump_matches", `Quick, test_dump_matches);
     ("rdb snapshot consistency", `Quick, test_rdb_bgsave_snapshot_consistency);
     ("rdb bgsave result", `Quick, test_rdb_bgsave_result);
     ("aof roundtrip", `Quick, test_aof_roundtrip);

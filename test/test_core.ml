@@ -99,6 +99,26 @@ let edge_mk base =
   Capability.mint ~parent:(Capability.root ()) ~base ~length:16
     ~perms:Perms.user_data
 
+(* The one page-duplication loop: a tagged page copies exactly, and no
+   page-sized temporary reaches the major heap on the way. *)
+let test_copy_page_contents () =
+  let src = Page.create () and dst = Page.create () in
+  for g = 0 to Addr.granules_per_page - 1 do
+    if g mod 3 = 0 then Page.store_cap src ~off:(g * 16) (edge_mk (0x1000 + g))
+    else Page.write_u64 src ~off:(g * 16) (Int64.of_int g)
+  done;
+  Page.store_cap dst ~off:16 (edge_mk 0x9000);
+  let _, direct_major =
+    Test_mem.allocations (fun () ->
+        Ufork_core.Memops.copy_page_contents ~src ~dst)
+  in
+  Alcotest.(check int) "words allocated in the major heap" 0 direct_major;
+  Alcotest.(check string) "bytes"
+    (Bytes.to_string (Page.read_bytes src ~off:0 ~len:Addr.page_size))
+    (Bytes.to_string (Page.read_bytes dst ~off:0 ~len:Addr.page_size));
+  Alcotest.(check (list int)) "tags" (Page.tagged_granules src)
+    (Page.tagged_granules dst)
+
 let test_relocate_page_zero_tag () =
   (* The zero-tag fast path: a page of raw data (including integers that
      look like parent pointers) is scanned but nothing moves. *)
@@ -657,6 +677,8 @@ let suite =
     ("relocate cap", `Quick, test_relocate_cap);
     ("relocate page", `Quick, test_relocate_page);
     ("relocate page: zero-tag fast path", `Quick, test_relocate_page_zero_tag);
+    ("copy_page_contents: exact, no page temporary", `Quick,
+     test_copy_page_contents);
     ("relocate page: dangling owner tag-clear", `Quick,
      test_relocate_page_dangling_clear);
     ("relocate cap: last granule of the page", `Quick,

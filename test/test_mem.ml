@@ -129,6 +129,103 @@ let prop_page_write_preserves_other_bytes =
          || Page.read_u8 p ~off:(off + String.length s) = 0)
       && Bytes.to_string (Page.read_bytes p ~off ~len:(String.length s)) = s)
 
+(* The zero-copy byte path: blit_in/blit_out are write_bytes/read_bytes
+   without the temporary, tag clearing included. Both pages start with
+   the same capabilities in every fourth granule so overlaps show. *)
+let tagged_page () =
+  let p = Page.create () in
+  for g = 0 to Addr.granules_per_page - 1 do
+    if g mod 4 = 0 then
+      Page.store_cap p ~off:(g * 16) (mk_cap ~base:(g * 16) ())
+  done;
+  p
+
+let page_bytes p = Bytes.to_string (Page.read_bytes p ~off:0 ~len:4096)
+
+let prop_page_blit_matches_bytes =
+  QCheck.Test.make ~name:"page blit_in/blit_out = write_bytes/read_bytes"
+    ~count:300
+    QCheck.(
+      triple (int_range 0 4095) (int_range 0 64)
+        (string_of_size Gen.(0 -- 300)))
+    (fun (off, pos, s) ->
+      let pos = min pos (String.length s) in
+      let len = String.length s - pos in
+      QCheck.assume (off + len <= 4096);
+      let src = Bytes.of_string s in
+      let a = tagged_page () and b = tagged_page () in
+      Page.write_bytes a ~off (Bytes.sub src pos len);
+      Page.blit_in src ~pos b ~off ~len;
+      let out = Bytes.make (len + 7) '#' in
+      Page.blit_out b ~off out ~pos:7 ~len;
+      page_bytes a = page_bytes b
+      && Page.tagged_granules a = Page.tagged_granules b
+      && Bytes.sub_string out 7 len
+         = Bytes.to_string (Page.read_bytes a ~off ~len)
+      && Bytes.sub_string out 0 7 = "#######")
+
+let test_page_blit_bounds () =
+  let p = tagged_page () in
+  let oob = Invalid_argument "Page: buffer range out of bounds" in
+  Alcotest.check_raises "blit_out past the buffer" oob (fun () ->
+      Page.blit_out p ~off:0 (Bytes.create 8) ~pos:4 ~len:8);
+  Alcotest.check_raises "blit_in past the page"
+    (Invalid_argument "Page: access out of page bounds") (fun () ->
+      Page.blit_in (Bytes.create 32) ~pos:0 p ~off:4080 ~len:32);
+  (* A rejected blit_in changes nothing, tags included. *)
+  Alcotest.check_raises "blit_in past the buffer" oob (fun () ->
+      Page.blit_in (Bytes.create 8) ~pos:0 p ~off:0 ~len:16);
+  Alcotest.(check bool) "tag survives a rejected blit" true
+    (Page.tag_at p ~off:0)
+
+let test_page_copy_into () =
+  let src = Page.create () in
+  Page.write_bytes src ~off:100 (Bytes.of_string "payload");
+  Page.store_cap src ~off:32 (mk_cap ~base:0x1000 ());
+  Page.store_cap src ~off:4080 (mk_cap ~base:0x2000 ());
+  let dst = tagged_page () in
+  let src_bytes = page_bytes src and src_tags = Page.tagged_granules src in
+  Page.copy_into ~src ~dst;
+  Alcotest.(check string) "bytes copied" src_bytes (page_bytes dst);
+  Alcotest.(check (list int)) "dst tags replaced by src's" [ 2; 255 ]
+    (Page.tagged_granules dst);
+  List.iter
+    (fun g ->
+      Alcotest.(check bool)
+        (Printf.sprintf "granule %d cap equal" g)
+        true
+        (Capability.equal
+           (Page.load_cap src ~off:(g * 16))
+           (Page.load_cap dst ~off:(g * 16))))
+    src_tags;
+  Alcotest.(check string) "src bytes untouched" src_bytes (page_bytes src);
+  Alcotest.(check (list int)) "src tags untouched" src_tags
+    (Page.tagged_granules src);
+  (* The copies are independent afterwards. *)
+  Page.write_u8 dst ~off:32 1;
+  Alcotest.(check bool) "src tag independent" true (Page.tag_at src ~off:32)
+
+(* Words allocated by [f]: minor plus major minus what was promoted
+   (which would otherwise count twice). [Gc.minor_words] is read
+   directly because on OCaml 5 the minor count in [Gc.quick_stat] only
+   moves at a minor collection. *)
+let allocations f =
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  f ();
+  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  let direct_major = major1 -. major0 -. (promoted1 -. promoted0) in
+  (int_of_float (minor1 -. minor0 +. direct_major), int_of_float direct_major)
+
+let allocated_words f = fst (allocations f)
+
+(* Blocks too large for the minor heap, such as a 4 KiB page temporary
+   (513 words), go straight to the major heap: copying a page must put
+   nothing there. *)
+let test_page_copy_into_alloc () =
+  let src = tagged_page () and dst = tagged_page () in
+  let _, direct_major = allocations (fun () -> Page.copy_into ~src ~dst) in
+  Alcotest.(check int) "words allocated in the major heap" 0 direct_major
+
 (* --- Phys --- *)
 
 let test_phys_refcount () =
@@ -462,6 +559,67 @@ let test_vas_kernel_paths () =
   Alcotest.(check bool) "kernel cap load skips CoPA bit" true
     (Capability.equal c (Vas.kernel_load_cap pt ~addr:(4 * 4096 + 32)))
 
+(* Eight mapped rw pages at vpns 1..8, one capability over all of them. *)
+let setup_wide_vas () =
+  let phys = Phys.create () in
+  let pt = Page_table.create phys in
+  for v = 1 to 8 do
+    Page_table.map pt ~vpn:v (Pte.make (Phys.alloc phys))
+  done;
+  let via =
+    Capability.mint ~parent:(Capability.root ()) ~base:4096 ~length:(8 * 4096)
+      ~perms:Perms.user_data
+  in
+  (pt, via)
+
+let test_vas_multi_page_agrees_with_kernel () =
+  let pt, via = setup_wide_vas () in
+  let addr = 4096 + 100 and len = (3 * 4096) + 500 in
+  (* Capabilities inside and just outside the span. *)
+  let inside = 4096 + 2048 and outside = 4096 + 80 in
+  Vas.kernel_store_cap pt ~addr:inside (mk_cap ());
+  Vas.kernel_store_cap pt ~addr:outside (mk_cap ());
+  let s = Bytes.init len (fun i -> Char.chr ((i * 7) land 0xff)) in
+  Vas.write_bytes pt ~via ~addr s;
+  Alcotest.(check bytes) "user write, kernel read" s
+    (Vas.kernel_read_bytes pt ~addr ~len);
+  let tag_at a = Page.tag_at (Vas.kernel_page pt ~vpn:(Addr.vpn_of_addr a))
+      ~off:(Addr.page_offset a) in
+  Alcotest.(check bool) "overlapped tag cleared" false (tag_at inside);
+  Alcotest.(check bool) "tag outside the span kept" true (tag_at outside);
+  let t = Bytes.init len (fun i -> Char.chr ((i * 13 + 5) land 0xff)) in
+  Vas.kernel_write_bytes pt ~addr:(addr + 3) t;
+  Alcotest.(check bytes) "kernel write, user read" t
+    (Vas.read_bytes pt ~via ~addr:(addr + 3) ~len);
+  Alcotest.(check bytes) "user and kernel reads agree"
+    (Vas.kernel_read_bytes pt ~addr:4096 ~len:(8 * 4096))
+    (Vas.read_bytes pt ~via ~addr:4096 ~len:(8 * 4096))
+
+let test_vas_round_trip_alloc () =
+  let phys = Phys.create () in
+  let pt = Page_table.create phys in
+  let len = 100 * 1024 in
+  let pages = Addr.bytes_to_pages len + 1 in
+  for v = 1 to pages do
+    Page_table.map pt ~vpn:v (Pte.make (Phys.alloc phys))
+  done;
+  let via =
+    Capability.mint ~parent:(Capability.root ()) ~base:4096
+      ~length:(pages * 4096) ~perms:Perms.user_data
+  in
+  let src = Bytes.make len 'x' and addr = 4096 + 123 in
+  let round_trip () =
+    Vas.write_bytes pt ~via ~addr src;
+    ignore (Sys.opaque_identity (Vas.read_bytes pt ~via ~addr ~len))
+  in
+  round_trip ();
+  (* The result buffer is the only thing proportional to [len]. *)
+  let budget = (len / 8) + 1024 in
+  let words = allocated_words round_trip in
+  if words > budget then
+    Alcotest.failf "100 KiB Vas round trip allocated %d words (budget %d)"
+      words budget
+
 let prop_vas_roundtrip =
   QCheck.Test.make ~name:"vas write/read roundtrip" ~count:200
     QCheck.(pair (int_range 0 8100) (string_of_size Gen.(1 -- 200)))
@@ -486,6 +644,9 @@ let suite =
     ("page cap alignment", `Quick, test_page_alignment);
     ("page deep copy", `Quick, test_page_copy_deep);
     ("page iter/map caps", `Quick, test_page_iter_map_caps);
+    ("page blit bounds", `Quick, test_page_blit_bounds);
+    ("page copy_into", `Quick, test_page_copy_into);
+    ("page copy_into alloc budget", `Quick, test_page_copy_into_alloc);
     ("phys refcount", `Quick, test_phys_refcount);
     ("phys limit", `Quick, test_phys_limit);
     ("phys peak", `Quick, test_phys_peak);
@@ -507,8 +668,12 @@ let suite =
     ("vas cap checks first", `Quick, test_vas_cap_checks_dominate);
     ("vas unaligned cap", `Quick, test_vas_unaligned_cap);
     ("vas kernel paths", `Quick, test_vas_kernel_paths);
+    ("vas multi-page = kernel paths", `Quick,
+      test_vas_multi_page_agrees_with_kernel);
+    ("vas round trip alloc budget", `Quick, test_vas_round_trip_alloc);
     qt prop_align;
     qt prop_page_write_preserves_other_bytes;
+    qt prop_page_blit_matches_bytes;
     qt prop_vas_roundtrip;
     qt prop_pt_map_range_fills_holes;
     qt prop_pt_fold_range_matches_fold;

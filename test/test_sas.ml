@@ -276,6 +276,105 @@ let test_vfs_append_grows () =
   Vfs.close g;
   Alcotest.(check int) "grown" 10_000 (Vfs.size v "/big")
 
+(* File bytes live in 64 KiB blocks: every test below crosses one. *)
+let vfs_block = 64 * 1024
+let pattern ?(salt = 0) n =
+  Bytes.init n (fun i -> Char.chr ((i * 31 + salt) land 0xff))
+
+let test_vfs_block_boundary () =
+  let v = Vfs.create () in
+  let f = Vfs.open_ v "/f" `Create in
+  let a = pattern (vfs_block - 6) and b = pattern ~salt:1 20 in
+  ignore (Vfs.write f a);
+  ignore (Vfs.write f b);
+  let whole = Bytes.to_string (Bytes.cat a b) in
+  Alcotest.(check string) "write across the boundary" whole
+    (Vfs.contents v "/f");
+  Vfs.seek f (vfs_block - 100);
+  Alcotest.(check string) "read spanning blocks"
+    (String.sub whole (vfs_block - 100) 110)
+    (Bytes.to_string (Vfs.read f 110));
+  Alcotest.(check string) "short read at EOF"
+    (String.sub whole (vfs_block + 10) 4)
+    (Bytes.to_string (Vfs.read f 1000));
+  Alcotest.(check int) "EOF reads nothing" 0 (Bytes.length (Vfs.read f 10))
+
+let test_vfs_hole () =
+  let v = Vfs.create () in
+  let f = Vfs.open_ v "/h" `Create in
+  ignore (Vfs.write f (Bytes.of_string "abc"));
+  Vfs.seek f (vfs_block + 5);
+  ignore (Vfs.write f (Bytes.of_string "xyz"));
+  Alcotest.(check int) "size" (vfs_block + 8) (Vfs.size v "/h");
+  Alcotest.(check string) "hole reads back as zeros"
+    ("abc" ^ String.make (vfs_block + 2) '\000' ^ "xyz")
+    (Vfs.contents v "/h")
+
+let test_vfs_put_and_append_over_blocks () =
+  let v = Vfs.create () in
+  let big = Bytes.to_string (pattern (3 * vfs_block)) in
+  Vfs.put v "/p" big;
+  Alcotest.(check string) "put across blocks" big (Vfs.contents v "/p");
+  Vfs.put v "/p" "small";
+  Alcotest.(check string) "put replaces the old file" "small"
+    (Vfs.contents v "/p");
+  Vfs.put v "/log" (String.make (vfs_block - 1) 'a');
+  let f = Vfs.open_ v "/log" `Append in
+  ignore (Vfs.write f (Bytes.of_string "bcd"));
+  Alcotest.(check string) "append across the boundary"
+    (String.make (vfs_block - 1) 'a' ^ "bcd")
+    (Vfs.contents v "/log")
+
+let test_vfs_200k_round_trip () =
+  let v = Vfs.create () in
+  let data = pattern (200 * 1024) in
+  let f = Vfs.open_ v "/r" `Create in
+  let pos = ref 0 in
+  while !pos < Bytes.length data do
+    let n = min 7777 (Bytes.length data - !pos) in
+    ignore (Vfs.write f (Bytes.sub data !pos n));
+    pos := !pos + n
+  done;
+  Vfs.close f;
+  let g = Vfs.open_ v "/r" `Read in
+  let back = Buffer.create (Bytes.length data) in
+  let rec drain () =
+    let b = Vfs.read g 5000 in
+    if Bytes.length b > 0 then begin
+      Buffer.add_bytes back b;
+      drain ()
+    end
+  in
+  drain ();
+  Alcotest.(check string) "chunked read" (Bytes.to_string data)
+    (Buffer.contents back);
+  Alcotest.(check string) "contents" (Bytes.to_string data)
+    (Vfs.contents v "/r")
+
+(* Random seeks and writes agree with a flat-buffer model. *)
+let prop_vfs_matches_model =
+  QCheck.Test.make ~name:"vfs blocks = flat model" ~count:100
+    QCheck.(
+      list_of_size
+        Gen.(1 -- 8)
+        (pair (int_range 0 200_000) (int_range 0 70_000)))
+    (fun ops ->
+      let v = Vfs.create () in
+      let f = Vfs.open_ v "/m" `Create in
+      let model = ref Bytes.empty in
+      List.iteri
+        (fun i (at, n) ->
+          let b = pattern ~salt:i n in
+          Vfs.seek f at;
+          ignore (Vfs.write f b);
+          let len = max (Bytes.length !model) (at + n) in
+          let m = Bytes.make len '\000' in
+          Bytes.blit !model 0 m 0 (Bytes.length !model);
+          Bytes.blit b 0 m at n;
+          model := m)
+        ops;
+      Vfs.contents v "/m" = Bytes.to_string !model)
+
 (* --- Fdtable --- *)
 
 let test_fdtable_alloc_order () =
@@ -496,6 +595,11 @@ let suite =
     ("vfs crud", `Quick, test_vfs_crud);
     ("vfs streaming", `Quick, test_vfs_streaming);
     ("vfs append/grow", `Quick, test_vfs_append_grows);
+    ("vfs block boundary", `Quick, test_vfs_block_boundary);
+    ("vfs hole past EOF", `Quick, test_vfs_hole);
+    ("vfs put/append over blocks", `Quick, test_vfs_put_and_append_over_blocks);
+    ("vfs 200 KiB round trip", `Quick, test_vfs_200k_round_trip);
+    QCheck_alcotest.to_alcotest prop_vfs_matches_model;
     ("fdtable alloc order", `Quick, test_fdtable_alloc_order);
     ("fdtable dup shares", `Quick, test_fdtable_dup_shares_pipe);
     ("fdtable close_all", `Quick, test_fdtable_close_all);

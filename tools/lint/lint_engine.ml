@@ -58,7 +58,14 @@ let string_keyed_targets =
    analyzers and front ends consume anywhere. *)
 let hb_publish_targets = [ [ "Hb"; "emit" ] ]
 
-let page_copy_targets = [ [ "Page"; "read_bytes" ]; [ "Page"; "write_bytes" ] ]
+let page_copy_targets =
+  [
+    [ "Page"; "read_bytes" ];
+    [ "Page"; "write_bytes" ];
+    [ "Page"; "blit_out" ];
+    [ "Page"; "blit_in" ];
+    [ "Page"; "copy_into" ];
+  ]
 let fork_dup_targets = [ [ "Fdtable"; "dup_all" ] ]
 let biglock_targets = [ [ "Kernel"; "with_biglock" ] ]
 
