@@ -7,10 +7,11 @@
 
      dune exec bench/main.exe -- fig4 fig8
 
-   Available targets: table1 survey fig3 fig4 fig5 fig6 fig7 fig8 fig9
-   toctou ablate-proactive ablate-entry ablate-isolation smp bechamel all
-   quick (= all with reduced sizes/windows). The smp target sweeps
-   --cores-sweep and writes BENCH_smp.json. *)
+   Available targets: table1 survey fig1-2 fig3 fig4 fig5 fig6 fig7 fig8
+   fig9 toctou ablations (also ablate-proactive, ablate-entry,
+   ablate-isolation) smp events all quick (= all with reduced
+   sizes/windows). The smp target sweeps --cores-sweep and writes
+   BENCH_smp.json. *)
 
 module Table = Ufork_util.Table
 module Stats = Ufork_util.Stats
@@ -640,6 +641,10 @@ let smp () =
       in
       note "baseline %s: %d/%d points matched, gate at -%s%%\n" path !matched
         (List.length points) (f1 pct);
+      if !matched = 0 then begin
+        Printf.eprintf "smp: baseline %s matches no sweep point\n" path;
+        exit 2
+      end;
       if regressions <> [] then (
         List.iter
           (fun (c, l, fps0, fps1, drop) ->
@@ -891,65 +896,6 @@ let events () =
   | Some _ | None -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks: host-side cost of the simulator itself —
-   one Test.make per figure workload, so simulator regressions show up. *)
-
-let bechamel () =
-  section "Bechamel: host-time microbenchmarks of the simulator";
-  let open Bechamel in
-  let open Toolkit in
-  let hello sys = Staged.stage (fun () -> ignore (E.hello_run sys)) in
-  let redis_small sys =
-    Staged.stage (fun () ->
-        ignore
-          (E.redis_run sys ~entries:1 ~value_len:(100 * 1024)
-             ~db_label:"100 KB"))
-  in
-  let tests =
-    [
-      Test.make ~name:"fig8/ufork-hello-fork" (hello (E.Ufork Strategy.Copa));
-      Test.make ~name:"fig8/cheribsd-hello-fork" (hello E.Cheribsd);
-      Test.make ~name:"fig8/nephele-hello-fork" (hello E.Nephele);
-      Test.make ~name:"fig3-5/ufork-redis-100k" (redis_small (E.Ufork Strategy.Copa));
-      Test.make ~name:"fig3-5/cheribsd-redis-100k" (redis_small E.Cheribsd);
-      Test.make ~name:"fig9/context1-1k"
-        (Staged.stage (fun () ->
-             ignore (E.fig9 ~spawn_iters:10 ~context1_iters:1000 ())));
-      Test.make ~name:"fig6/faas-50ms-window"
-        (Staged.stage (fun () ->
-             ignore
-               (E.faas_run (E.Ufork Strategy.Copa) ~worker_cores:1
-                  ~window_s:0.05 ())));
-      Test.make ~name:"fig7/nginx-50ms-window"
-        (Staged.stage (fun () ->
-             ignore
-               (E.nginx_run (E.Ufork Strategy.Copa) ~cores:1 ~workers:1
-                  ~window_s:0.05 ())));
-    ]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) ~kde:(Some 10) ()
-  in
-  let instance = Instance.monotonic_clock in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"g" [ test ]) in
-      let ols =
-        Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-      in
-      let analysis = Analyze.all ols instance results in
-      (* One test per grouped run, so the table has a single entry;
-         human-facing bench notes besides, never golden output. *)
-      (Hashtbl.iter
-         (fun name v ->
-           match Analyze.OLS.estimates v with
-           | Some [ est ] ->
-               note "%-32s %12s ns/run\n" name (Table.fmt_f ~dec:0 est)
-           | Some _ | None -> note "%-32s (no estimate)\n" name)
-         analysis [@ufork.order_independent]))
-    tests
-
-(* ------------------------------------------------------------------ *)
 
 let all () =
   table1 ();
@@ -982,7 +928,6 @@ let run_target = function
       ablations ()
   | "smp" -> smp ()
   | "events" -> events ()
-  | "bechamel" -> bechamel ()
   | "all" -> all ()
   | other ->
       Printf.eprintf "unknown bench target %S\n" other;
@@ -1032,16 +977,14 @@ let main targets quick_flag jobs_flag cores sweep smp_out_flag
       trace_out = Option.map (fun p -> (p, E.Jsonl)) trace_out;
       profile_out;
     }
-    (fun () ->
-      List.iter run_target targets;
-      if List.mem "all" targets && not !quick then bechamel ())
+    (fun () -> List.iter run_target targets)
 
 let cmd =
   let open Cmdliner in
   let targets =
     let doc =
       "Benchmark targets: table1, survey, fig1-2, fig3..fig9, toctou, \
-       ablations, smp, events, bechamel, all (default)."
+       ablations, smp, events, all (default)."
     in
     Arg.(value & pos_all string [] & info [] ~docv:"TARGET" ~doc)
   in
@@ -1066,9 +1009,11 @@ let cmd =
   in
   let sweep =
     let doc =
-      "Core counts for the $(b,smp) scaling target, comma-separated \
-       (default 1,2,4,8,16,32,64,128). Each point runs the fork storm \
-       under sharded locks and under the legacy big kernel lock."
+      Printf.sprintf
+        "Core counts for the $(b,smp) scaling target, comma-separated \
+         (default %s). Each point runs the fork storm under sharded locks \
+         and under the legacy big kernel lock."
+        (String.concat "," (List.map string_of_int !cores_sweep))
     in
     Arg.(
       value & opt (some string) None & info [ "cores-sweep" ] ~docv:"LIST" ~doc)

@@ -1,13 +1,14 @@
-(* CLI driver: run individual experiments of the μFork reproduction with
-   custom parameters.
+(* CLI driver: [run] runs one workload of the registry
+   ({!Ufork_workload.Experiments.workloads}) on one system under the
+   sanitizer, protocol linter and accounting audit, plus any detectors
+   and observers asked for; [lint] is the static linter. The paper-sized
+   figure sweeps and the ablations are bench/main.exe targets.
 
-     dune exec bin/ufork_sim.exe -- redis --system ufork-copa --mb 10
-     dune exec bin/ufork_sim.exe -- faas --cores 3 --window 0.5
-     dune exec bin/ufork_sim.exe -- nginx --workers 3
-     dune exec bin/ufork_sim.exe -- unixbench
      dune exec bin/ufork_sim.exe -- run hello --system nephele
+     dune exec bin/ufork_sim.exe -- run faas --system cheribsd
      dune exec bin/ufork_sim.exe -- run redis --observe stats   # event audit
-     dune exec bin/ufork_sim.exe -- run storm --cores 64 --check race,lockdep *)
+     dune exec bin/ufork_sim.exe -- run storm --cores 64 --check race,lockdep
+     dune exec bin/ufork_sim.exe -- lint . *)
 
 open Cmdliner
 module Strategy = Ufork_core.Strategy
@@ -37,111 +38,6 @@ let system_conv =
   in
   let print ppf s = Format.pp_print_string ppf (E.system_label s) in
   Arg.conv (parse, print)
-
-let system_info =
-  Arg.info [ "system"; "s" ] ~docv:"SYSTEM"
-    ~doc:
-      "OS to run on: ufork-copa (default), ufork-coa, ufork-full, \
-       ufork-toctou, cheribsd, nephele, linux."
-
-let system_arg = Arg.(value & opt system_conv (E.Ufork Strategy.Copa) system_info)
-
-let window_arg =
-  Arg.(
-    value & opt float 1.0
-    & info [ "window"; "w" ] ~docv:"SECONDS"
-        ~doc:"Simulated measurement window in seconds.")
-
-(* redis *)
-let redis_cmd =
-  let mb =
-    Arg.(
-      value & opt int 10
-      & info [ "mb" ] ~docv:"MB" ~doc:"Database size in MB (100 KB entries).")
-  in
-  let run system mb =
-    let value_len = 100 * 1024 in
-    let entries = max 1 (mb * 1_000_000 / value_len) in
-    let r =
-      E.redis_run system ~entries ~value_len
-        ~db_label:(Printf.sprintf "%d MB" mb)
-    in
-    Printf.printf
-      "%s, %d MB database:\n\
-      \  background save : %.2f ms\n\
-      \  fork latency    : %.1f us\n\
-      \  snapshot child  : %.2f MB\n\
-      \  dump verified   : %b\n"
-      (E.system_label system) mb r.E.save_ms r.E.fork_us r.E.child_mb
-      r.E.dump_ok
-  in
-  Cmd.v
-    (Cmd.info "redis" ~doc:"Redis BGSAVE experiment (Figs. 3-5)")
-    Term.(const run $ system_arg $ mb)
-
-(* faas *)
-let faas_cmd =
-  let cores =
-    Arg.(
-      value & opt int 3
-      & info [ "cores" ] ~docv:"N" ~doc:"Worker cores (coordinator extra).")
-  in
-  let workload =
-    Arg.(
-      value
-      & opt (enum [ ("float", `Float); ("matmul", `Matmul); ("linpack", `Linpack) ]) `Float
-      & info [ "workload" ] ~docv:"KIND"
-          ~doc:"FunctionBench kernel: float (paper's float_operation), \
-                matmul, or linpack.")
-  in
-  let run system cores window workload =
-    let module Mpy = Ufork_apps.Mpy in
-    let program, locals, name =
-      match workload with
-      | `Float -> (Mpy.float_operation ~n:3650, 16, "float_operation")
-      | `Matmul -> (Mpy.matmul ~n:10, Mpy.matmul_locals ~n:10, "matmul")
-      | `Linpack -> (Mpy.linpack ~n:24, Mpy.linpack_locals ~n:24, "linpack")
-    in
-    let r =
-      E.faas_run system ~worker_cores:cores ~window_s:window ~program ~locals
-        ()
-    in
-    Printf.printf "%s, %d worker cores, %s: %.0f functions/s (%d completed)\n"
-      (E.system_label system) cores name r.E.throughput_per_s r.E.completed
-  in
-  Cmd.v
-    (Cmd.info "faas" ~doc:"Zygote FaaS throughput (Fig. 6)")
-    Term.(const run $ system_arg $ cores $ window_arg $ workload)
-
-(* nginx *)
-let nginx_cmd =
-  let workers =
-    Arg.(value & opt int 3 & info [ "workers" ] ~docv:"N" ~doc:"Workers.")
-  in
-  let cores =
-    Arg.(value & opt int 1 & info [ "cores" ] ~docv:"N" ~doc:"Cores.")
-  in
-  let run system workers cores window =
-    let r = E.nginx_run system ~cores ~workers ~window_s:window () in
-    Printf.printf "%s, %d core(s), %d worker(s): %.0f req/s\n"
-      (E.system_label system) cores workers r.E.requests_per_s
-  in
-  Cmd.v
-    (Cmd.info "nginx" ~doc:"Nginx multi-worker throughput (Fig. 7)")
-    Term.(const run $ system_arg $ workers $ cores $ window_arg)
-
-(* unixbench *)
-let unixbench_cmd =
-  let run () =
-    List.iter
-      (fun (r : E.unixbench_row) ->
-        Printf.printf "%-12s Spawn(1000): %.1f ms   Context1(100k): %.1f ms\n"
-          (E.system_label r.E.system) r.E.spawn_ms r.E.context1_ms)
-      (E.fig9 ())
-  in
-  Cmd.v
-    (Cmd.info "unixbench" ~doc:"Unixbench Spawn and Context1 (Fig. 9)")
-    Term.(const run $ const ())
 
 (* run: the one observed run. Every run records its event stream, so
    the protocol linter (L1-L5) replays it next to the state sweep
@@ -186,10 +82,20 @@ let run_cmd =
       & pos 0 (some (enum E.workloads)) None
       & info [] ~docv:"WORKLOAD"
           ~doc:
-            "Workload to run: hello (default), redis, unixbench, or storm \
-             (one concurrent forker per core).")
+            ("Workload to run, one of "
+            ^ String.concat ", " (List.map fst E.workloads)
+            ^ " (default hello). The storm runs one concurrent forker per \
+               core."))
   in
-  let system = Arg.(value & opt (some system_conv) None & system_info) in
+  let system =
+    Arg.(
+      value
+      & opt (some system_conv) None
+      & info [ "system"; "s" ] ~docv:"SYSTEM"
+          ~doc:
+            "OS to run on: ufork-copa (default), ufork-coa, ufork-full, \
+             ufork-toctou, cheribsd, nephele, linux.")
+  in
   let cores =
     Arg.(
       value
@@ -562,32 +468,9 @@ let run_cmd =
       const run $ system $ workload $ cores $ check $ chaos $ trace_out
       $ observe $ flame_out $ csv_out $ sample_interval $ explain)
 
-(* ablate *)
-let ablate_cmd =
-  let run () =
-    let show (r : E.ablation_row) =
-      Printf.printf "  %-46s %10.2f %s\n" r.E.label r.E.value r.E.unit_
-    in
-    print_endline "Proactive GOT/metadata copy:";
-    List.iter show (E.ablate_proactive ());
-    print_endline "Sealed vs trap syscall entry:";
-    List.iter show (E.ablate_syscall_entry ());
-    print_endline "Isolation levels (Redis 10 MB save):";
-    List.iter show (E.ablate_isolation ());
-    print_endline "Fragmentation (virtual-arena growth under churn):";
-    List.iter
-      (fun (r : E.fragmentation_row) ->
-        Printf.printf "  %-16s %4d forks: arena %8.2f MB, live %8.2f MB\n"
-          r.E.scenario r.E.churn r.E.arena_mb r.E.live_mb)
-      (E.ablate_fragmentation ())
-  in
-  Cmd.v
-    (Cmd.info "ablate" ~doc:"Design-choice ablations beyond the paper")
-    Term.(const run $ const ())
-
 (* lint: the AST-level discipline linter over the simulator's own
    sources, exposed as a subcommand so one binary carries both the
-   dynamic checks (check) and the static ones. *)
+   dynamic checks (run) and the static ones. *)
 let lint_cmd =
   let module Rules = Ufork_lint_core.Lint_rules in
   let module Lint = Ufork_lint_core.Lint_engine in
@@ -689,7 +572,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group ~default info
-          [
-            redis_cmd; faas_cmd; nginx_cmd; unixbench_cmd; run_cmd; lint_cmd;
-            ablate_cmd;
-          ]))
+          [ run_cmd; lint_cmd ]))

@@ -132,10 +132,13 @@ let causal_graph () = collected_or None (fun c -> c.graph)
    The small runs the observed-run front end ([ufork_sim run]) and the
    chaos controls name. *)
 
-type workload = Hello | Redis | Unixbench | Storm
+type workload = Hello | Redis | Unixbench | Storm | Faas | Nginx
 
 let workloads =
-  [ ("hello", Hello); ("redis", Redis); ("unixbench", Unixbench); ("storm", Storm) ]
+  [
+    ("hello", Hello); ("redis", Redis); ("unixbench", Unixbench);
+    ("storm", Storm); ("faas", Faas); ("nginx", Nginx);
+  ]
 
 let workload_name w = fst (List.find (fun (_, w') -> w' = w) workloads)
 
@@ -790,6 +793,14 @@ let run_workload system = function
       let r = fork_storm_run system ~cores ~iters:4 () in
       Printf.sprintf "%s: %d forks on %d cores, %.0f forks/s"
         (system_label system) r.forks r.cores r.forks_per_s
+  | Faas ->
+      let r = faas_run system ~worker_cores:1 ~window_s:0.05 () in
+      Printf.sprintf "%s: float_operation, %d completed, %.0f functions/s"
+        (system_label system) r.completed r.throughput_per_s
+  | Nginx ->
+      let r = nginx_run system ~cores:1 ~workers:1 ~window_s:0.05 () in
+      Printf.sprintf "%s: 1 worker, %.0f req/s" (system_label system)
+        r.requests_per_s
 
 (* A failure raised mid-run (the capflow fork probe, a capability
    fault) skips [finish_run], so the sinks are flushed here too. *)

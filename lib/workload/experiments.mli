@@ -90,14 +90,18 @@ val write_artifact : string -> (out_channel -> unit) -> unit
 
 (** {1 Observer workloads} *)
 
-(** The small runs the observed-run front end ([ufork_sim run]) and the
-    chaos controls share: Fig. 8's hello, a 5 MB Redis BGSAVE
-    (50 x 100 KiB), Unixbench with 50 spawns and 500 round trips, and
-    the fork storm (one forker per core, 4 forks each). *)
-type workload = Hello | Redis | Unixbench | Storm
+(** The one registry of per-system workloads: the small runs the
+    observed-run front end ([ufork_sim run]), the chaos controls and the
+    observer tests share. Fig. 8's hello, a 5 MB Redis BGSAVE
+    (50 x 100 KiB), Unixbench with 50 spawns and 500 round trips, the
+    fork storm (one forker per core, 4 forks each), Fig. 6's FaaS zygote
+    running float_operation on 1 worker core and Fig. 7's Nginx with 1
+    worker on 1 core, both over a 0.05 s window. *)
+type workload = Hello | Redis | Unixbench | Storm | Faas | Nginx
 
 val workloads : (string * workload) list
-(** Command-line names, in display order. *)
+(** Command-line names, in display order: the one list [ufork_sim run]
+    parses and prints in its help. *)
 
 val workload_name : workload -> string
 

@@ -214,6 +214,8 @@ let test_observers_passive () =
       (E.Ufork Strategy.Copa, E.Redis);
       (E.Cheribsd, E.Storm);
       (E.Cheribsd, E.Redis);
+      (E.Ufork Strategy.Copa, E.Nginx);
+      (E.Cheribsd, E.Faas);
     ]
 
 let suite =

@@ -59,5 +59,31 @@ let test_bad_cores () =
         [ "fig8"; "--quick"; "--cores=" ^ n ])
     [ 0; -1; 1025 ]
 
+(* A baseline that matches no sweep point gates nothing, so bench
+   refuses it like an unreadable one: exit 2, naming the file. *)
+let test_unmatched_smp_baseline () =
+  let bench = exe (Filename.concat "bench" "main.exe") in
+  let baseline = Filename.temp_file "ufork_smp_baseline" ".json"
+  and out = Filename.temp_file "ufork_smp" ".json" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ baseline; out ])
+    (fun () ->
+      Out_channel.with_open_bin baseline (fun oc ->
+          output_string oc "{}\n");
+      let code, err =
+        run bench
+          [
+            "smp"; "--quick"; "--cores-sweep"; "1"; "--smp-out"; out;
+            "--smp-baseline"; baseline;
+          ]
+      in
+      Alcotest.(check int) "exit code" 2 code;
+      Alcotest.(check bool) "names the baseline" true
+        (contains ~needle:baseline err))
+
 let suite =
-  [ Alcotest.test_case "bad --cores is a usage error" `Quick test_bad_cores ]
+  [
+    Alcotest.test_case "bad --cores is a usage error" `Quick test_bad_cores;
+    Alcotest.test_case "unmatched --smp-baseline is an error" `Quick
+      test_unmatched_smp_baseline;
+  ]
