@@ -1,5 +1,4 @@
 module Api = Ufork_sas.Api
-module Capability = Ufork_cheri.Capability
 
 type instr =
   | Push of float
@@ -146,154 +145,137 @@ let linpack ~n =
 
 let charge_batch = 256
 
-let run (api : Api.t) ?(locals = 16) program =
-  let stack = ref [] in
+(* The one interpreter loop, shared by {!run} and {!estimated_cycles}.
+   [charge k] is called with the count [k] of instructions executed
+   since the last call: once per [charge_batch] instructions, just
+   before the batch-completing instruction runs, and once for the
+   remainder at [Halt]. The charging points are part of the simulated
+   schedule, so they must not move.
+
+   The operand stack is a float array with an int stack pointer, and
+   every float op is written inline: a float that crossed a closure
+   boundary would be boxed, one allocation per instruction. *)
+let interpret ~charge ~locals program =
   let slots = Array.make locals 0.0 in
-  let executed = ref 0 in
-  let flush () =
-    if !executed > 0 then begin
-      api.Api.compute (Int64.mul cycles_per_instr (Int64.of_int !executed));
-      executed := 0
-    end
-  in
-  let pop () =
-    match !stack with
-    | [] -> raise (Runtime_error "stack underflow")
-    | x :: rest ->
-        stack := rest;
-        x
-  in
-  let push v = stack := v :: !stack in
+  let stack = ref (Array.make 64 0.0) in
+  let sp = ref 0 in
+  let need k = if !sp < k then raise (Runtime_error "stack underflow") in
   let slot i =
     if i < 0 || i >= locals then raise (Runtime_error "bad local") else i
   in
+  let executed = ref 0 in
   let pc = ref 0 in
   let running = ref true in
   while !running do
     if !pc < 0 || !pc >= Array.length program then
       raise (Runtime_error "pc out of range");
     incr executed;
-    if !executed >= charge_batch then flush ();
-    (match program.(!pc) with
+    if !executed >= charge_batch then begin
+      charge !executed;
+      executed := 0
+    end;
+    (* No instruction grows the stack by more than one. *)
+    if !sp = Array.length !stack then begin
+      let grown = Array.make (2 * !sp) 0.0 in
+      Array.blit !stack 0 grown 0 !sp;
+      stack := grown
+    end;
+    let st = !stack in
+    match program.(!pc) with
     | Push v ->
-        push v;
+        st.(!sp) <- v;
+        incr sp;
         incr pc
     | Load i ->
-        push slots.(slot i);
+        st.(!sp) <- slots.(slot i);
+        incr sp;
         incr pc
     | Store i ->
-        slots.(slot i) <- pop ();
+        need 1;
+        decr sp;
+        slots.(slot i) <- st.(!sp);
         incr pc
     | Add ->
-        let b = pop () and a = pop () in
-        push (a +. b);
+        need 2;
+        decr sp;
+        st.(!sp - 1) <- st.(!sp - 1) +. st.(!sp);
         incr pc
     | Sub ->
-        let b = pop () and a = pop () in
-        push (a -. b);
+        need 2;
+        decr sp;
+        st.(!sp - 1) <- st.(!sp - 1) -. st.(!sp);
         incr pc
     | Mul ->
-        let b = pop () and a = pop () in
-        push (a *. b);
+        need 2;
+        decr sp;
+        st.(!sp - 1) <- st.(!sp - 1) *. st.(!sp);
         incr pc
     | Div ->
-        let b = pop () and a = pop () in
-        if b = 0.0 then raise (Runtime_error "division by zero");
-        push (a /. b);
+        need 2;
+        decr sp;
+        if st.(!sp) = 0.0 then raise (Runtime_error "division by zero");
+        st.(!sp - 1) <- st.(!sp - 1) /. st.(!sp);
         incr pc
     | Sqrt ->
-        push (sqrt (Float.abs (pop ())));
+        need 1;
+        st.(!sp - 1) <- sqrt (Float.abs st.(!sp - 1));
         incr pc
     | Sin ->
-        push (sin (pop ()));
+        need 1;
+        st.(!sp - 1) <- sin st.(!sp - 1);
         incr pc
     | Cos ->
-        push (cos (pop ()));
+        need 1;
+        st.(!sp - 1) <- cos st.(!sp - 1);
         incr pc
     | Dup ->
-        let v = pop () in
-        push v;
-        push v;
+        need 1;
+        st.(!sp) <- st.(!sp - 1);
+        incr sp;
         incr pc
     | Pop ->
-        ignore (pop ());
+        need 1;
+        decr sp;
         incr pc
     | Load_idx ->
-        let i = slot (int_of_float (pop ())) in
-        push slots.(i);
+        need 1;
+        st.(!sp - 1) <- slots.(slot (int_of_float st.(!sp - 1)));
         incr pc
     | Store_idx ->
-        let i = slot (int_of_float (pop ())) in
-        slots.(i) <- pop ();
+        need 1;
+        let i = slot (int_of_float st.(!sp - 1)) in
+        need 2;
+        sp := !sp - 2;
+        slots.(i) <- st.(!sp);
         incr pc
     | Jnz target ->
-        let v = pop () in
-        if v <> 0.0 then pc := target else incr pc
+        need 1;
+        decr sp;
+        if st.(!sp) <> 0.0 then pc := target else incr pc
     | Jmp target -> pc := target
-    | Halt -> running := false);
-    ()
+    | Halt -> running := false
   done;
-  flush ();
-  match !stack with [] -> 0.0 | top :: _ -> top
+  if !executed > 0 then charge !executed;
+  if !sp = 0 then 0.0 else !stack.(!sp - 1)
 
-let max_local program =
-  Array.fold_left
-    (fun acc i ->
-      match i with Load j | Store j -> max acc (j + 1) | _ -> acc)
-    64 program
+(* A full batch's cost, boxed once rather than at every charge. *)
+let batch_cycles = Int64.mul cycles_per_instr (Int64.of_int charge_batch)
 
-let executed_count program =
-  (* Execute symbolically by counting: for the shapes we generate (single
-     back-edge loops), a direct interpretation with a no-cost API would do;
-     instead derive from the loop structure. For arbitrary programs, run
-     once and count. *)
-  let count = ref 0 in
-  let stack = ref [] in
-  (* Big enough for any locals the program names plus indexed access up to
-     the same bound; indexed programs are straight-line, so this matches
-     run's defaults when callers pass the documented locals count. *)
-  let slots = Array.make (max 4096 (max_local program)) 0.0 in
-  let pop () =
-    match !stack with
-    | [] -> raise (Runtime_error "stack underflow")
-    | x :: r ->
-        stack := r;
-        x
-  in
-  let push v = stack := v :: !stack in
-  let pc = ref 0 in
-  let running = ref true in
-  while !running do
-    incr count;
-    (match program.(!pc) with
-    | Push v -> push v; incr pc
-    | Load i -> push slots.(i); incr pc
-    | Store i -> slots.(i) <- pop (); incr pc
-    | Add -> let b = pop () and a = pop () in push (a +. b); incr pc
-    | Sub -> let b = pop () and a = pop () in push (a -. b); incr pc
-    | Mul -> let b = pop () and a = pop () in push (a *. b); incr pc
-    | Div -> let b = pop () and a = pop () in push (a /. b); incr pc
-    | Sqrt -> push (sqrt (Float.abs (pop ()))); incr pc
-    | Sin -> push (sin (pop ())); incr pc
-    | Cos -> push (cos (pop ())); incr pc
-    | Dup -> let v = pop () in push v; push v; incr pc
-    | Pop -> ignore (pop ()); incr pc
-    | Load_idx ->
-        let i = int_of_float (pop ()) in
-        push slots.(i);
-        incr pc
-    | Store_idx ->
-        let i = int_of_float (pop ()) in
-        slots.(i) <- pop ();
-        incr pc
-    | Jnz t -> if pop () <> 0.0 then pc := t else incr pc
-    | Jmp t -> pc := t
-    | Halt -> running := false)
-  done;
-  !count
+let run (api : Api.t) ?(locals = 16) program =
+  interpret
+    ~charge:(fun k ->
+      api.Api.compute
+        (if k = charge_batch then batch_cycles
+         else Int64.mul cycles_per_instr (Int64.of_int k)))
+    ~locals program
 
-let estimated_cycles program =
-  Int64.mul cycles_per_instr (Int64.of_int (executed_count program))
+let estimated_cycles ?(locals = 16) program =
+  let instructions = ref 0 in
+  ignore
+    (interpret
+       ~charge:(fun k -> instructions := !instructions + k)
+       ~locals program);
+  Int64.mul cycles_per_instr (Int64.of_int !instructions)
 
 (* Zygote runtime state: a module table whose granule i points to module
    object i; each module object points to a constants block. All capability
@@ -330,5 +312,3 @@ let zygote_check (api : Api.t) =
       failwith "zygote_check: corrupted constants"
   done;
   n
-
-let _ = Capability.tag

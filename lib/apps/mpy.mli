@@ -59,9 +59,10 @@ val run : Ufork_sas.Api.t -> ?locals:int -> program -> float
 (** Execute; returns the top of the stack (0.0 if empty). Charges
     [cycles_per_instr] per executed instruction (batched). *)
 
-val estimated_cycles : program -> int64
-(** Cycle cost of one run, from the executed-instruction count (exact for
-    the programs produced here). *)
+val estimated_cycles : ?locals:int -> program -> int64
+(** Cycle cost of one {!run} with the same [locals]: exactly the cycles
+    [run] charges, counted by the same interpreter loop. Raises what
+    [run] raises. *)
 
 val zygote_got_slot : int
 val zygote_init : Ufork_sas.Api.t -> modules:int -> unit

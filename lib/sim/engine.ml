@@ -30,7 +30,7 @@ module Heap = struct
       i := p
     done
 
-  let peek h = if h.len = 0 then None else Some h.a.(0)
+  let is_empty h = h.len = 0
 
   (* Allocation-free peek for the advance fast path: no event at or
      before [target]? *)
@@ -67,10 +67,10 @@ type thread = {
   affinity : int option;
   mutable finished : bool;
   mutable home : int;
-      (* The run queue this thread is enqueued on when it becomes ready:
-         its affinity core when pinned, otherwise the core it last ran on
-         (initially tid mod cores). Work stealing migrates unpinned
-         threads and re-homes them to the stealing core. *)
+      (* The core this thread runs on when it is dispatched and that core
+         is idle: its affinity core when pinned, otherwise the core it
+         last ran on (initially tid mod cores). Work stealing migrates
+         unpinned threads and re-homes them to the stealing core. *)
   mutable cur_core : core option;
       (* The core the thread currently occupies; threads can migrate across
          yields, so the effect handler must read this rather than close
@@ -83,19 +83,25 @@ type resume =
   | Start of (unit -> unit)
   | Cont of (unit, unit) Effect.Deep.continuation
 
+(* A ready thread, stamped with the global ready sequence. *)
+type entry = { thread : thread; resume : resume; seq : int }
+
 type t = {
   core_array : core array;
   events : Heap.t;
   mutable now : int64;
   mutable advanced : int64;
   mutable seq : int;
-  run_queues : (thread * resume * int) Queue.t array;
-      (* One run queue per core, entries stamped with a global ready
-         sequence. Pinned threads wait on their affinity core's queue
-         and are never stolen; unpinned threads wait on their home
-         core's queue and may be stolen by an idle core. *)
+  unpinned : entry Queue.t;
+      (* Every ready unpinned thread. Stamps only grow, so this FIFO is
+         in age order: its head is the oldest unpinned entry. *)
+  pinned : entry Queue.t array;
+      (* One FIFO per core of the ready threads pinned to it, each in
+         age order for the same reason. *)
+  mutable pinned_ready : int;
+      (* Entries across all [pinned] queues; 0 lets dispatch skip them. *)
+  mutable idle : int;  (* Cores not busy. *)
   mutable ready_seq : int;
-  mutable ready_count : int;
   mutable steals : int;
   mutable live : int;
   mutable blocked : int;
@@ -159,9 +165,11 @@ let create ?(cores = 4) () =
       now = 0L;
       advanced = 0L;
       seq = 0;
-      run_queues = Array.init cores (fun _ -> Queue.create ());
+      unpinned = Queue.create ();
+      pinned = Array.init cores (fun _ -> Queue.create ());
+      pinned_ready = 0;
+      idle = cores;
       ready_seq = 0;
-      ready_count = 0;
       steals = 0;
       live = 0;
       blocked = 0;
@@ -195,17 +203,20 @@ let running_core t = t.running_core
 let running_name t = t.running_name
 let bus t = Lazy.force t.bus
 
-(* Enqueue a ready thread on its run queue: the affinity core when
-   pinned, the home core otherwise. The global ready-seq stamp is what
-   keeps the multi-queue schedule identical to the old single-FIFO
-   engine: dispatch runs entries in stamp order. *)
+let ready_count t = Queue.length t.unpinned + t.pinned_ready
+
+(* Enqueue a ready thread: on its affinity core's FIFO when pinned, on
+   the unpinned FIFO otherwise. The global ready-seq stamp is what keeps
+   the schedule identical to a single-FIFO engine: dispatch runs
+   entries in stamp order. *)
 let make_ready t thread resume =
-  let q =
-    match thread.affinity with Some a -> a | None -> thread.home
-  in
   t.ready_seq <- t.ready_seq + 1;
-  Queue.push (thread, resume, t.ready_seq) t.run_queues.(q);
-  t.ready_count <- t.ready_count + 1
+  let e = { thread; resume; seq = t.ready_seq } in
+  match thread.affinity with
+  | Some a ->
+      Queue.push e t.pinned.(a);
+      t.pinned_ready <- t.pinned_ready + 1
+  | None -> Queue.push e t.unpinned
 
 let schedule t time action =
   t.seq <- t.seq + 1;
@@ -216,8 +227,9 @@ let occupied_core thread =
   | Some c -> c
   | None -> invalid_arg "Engine: thread has no core (engine bug)"
 
-let release_core thread =
+let release_core t thread =
   (occupied_core thread).busy <- false;
+  t.idle <- t.idle + 1;
   thread.cur_core <- None
 
 (* Run a thread fragment on a core until it suspends or finishes. Simulated
@@ -231,6 +243,7 @@ let release_core thread =
    pick up. *)
 let exec t core thread resume =
   core.busy <- true;
+  t.idle <- t.idle - 1;
   thread.cur_core <- Some core;
   thread.home <- core.index;
   let prev_tid = t.running_tid
@@ -252,13 +265,13 @@ let exec t core thread resume =
               (fun () ->
                 thread.finished <- true;
                 t.live <- t.live - 1;
-                release_core thread);
+                release_core t thread);
             exnc =
               (fun e ->
                 (* A crashing thread must not leave its core marked busy. *)
                 thread.finished <- true;
                 t.live <- t.live - 1;
-                release_core thread;
+                release_core t thread;
                 raise e);
             effc =
               (fun (type a) (eff : a Effect.t) ->
@@ -276,7 +289,7 @@ let exec t core thread resume =
                           t.advanced <- Int64.add t.advanced n;
                           let target = Int64.add t.now n in
                           if
-                            t.ready_count = 0
+                            ready_count t = 0
                             && t.active_resumes = 1
                             && Heap.min_time_exceeds t.events target
                             && target <= t.until_limit
@@ -338,14 +351,14 @@ let exec t core thread resume =
               | Yield ->
                   Some
                     (fun k ->
-                      release_core thread;
+                      release_core t thread;
                       make_ready t thread (Cont k))
               | Suspend register ->
                   Some
                     (fun k ->
                       if Hb.on (bus t) then
                         Hb.emit (bus t) (Hb.Block { tid = thread.tid });
-                      release_core thread;
+                      release_core t thread;
                       t.blocked <- t.blocked + 1;
                       register { target = Some (t, thread, Cont k) })
               | Get_time -> Some (fun k -> Effect.Deep.continue k t.now)
@@ -366,82 +379,58 @@ let exec t core thread resume =
       t.running_name <- prev_name;
       raise e
 
-(* The globally oldest entry that can run right now: pinned entries
-   qualify only when their affinity core is idle; unpinned entries
-   qualify whenever any core is idle (callers check that first). Queues
-   are scanned in full because a pinned-but-blocked head must not shadow
-   a runnable entry behind it. Returns the queue index and stamp. *)
-let oldest_runnable t =
-  let best = ref None in
-  Array.iteri
-    (fun qi q ->
-      Queue.iter
-        (fun (thread, _, rseq) ->
-          let runnable =
-            match thread.affinity with
-            | Some a -> not t.core_array.(a).busy
-            | None -> true
-          in
-          if runnable then
-            match !best with
-            | Some (_, bseq) when bseq <= rseq -> ()
-            | _ -> best := Some (qi, rseq))
-        q)
-    t.run_queues;
-  !best
-
-(* Remove the entry stamped [rseq] from queue [qi] by rotating the queue
-   once; stamps are unique so exactly one entry matches. *)
-let remove_entry t qi rseq =
-  let q = t.run_queues.(qi) in
-  let found = ref None in
-  for _ = 1 to Queue.length q do
-    let ((_, _, s) as entry) = Queue.pop q in
-    if s = rseq then found := Some entry else Queue.push entry q
-  done;
-  match !found with
-  | Some entry -> entry
-  | None -> invalid_arg "Engine: run-queue entry vanished (engine bug)"
-
 (* Dispatch ready threads to idle cores, globally oldest first: each
    step runs the lowest-stamped runnable entry, preserving the
-   single-FIFO schedule of a one-queue engine. The core is the entry's
-   own queue core when idle; otherwise the first idle core scanning
-   upward from it — a steal that migrates and re-homes the thread. Both
-   choices are functions of queue contents and core ids alone, so the
-   schedule (and every trace derived from it) is reproducible for a
-   given seed and core count. *)
+   single-FIFO schedule of a one-queue engine. Every FIFO is in age
+   order, so that entry is the older of the unpinned head and the
+   oldest head among idle cores' pinned FIFOs (a busy core's pinned
+   entries wait; they are never migrated). An unpinned entry runs on its
+   home core when idle, otherwise on the first idle core scanning upward
+   from it — a steal that migrates and re-homes the thread. Both choices
+   are functions of queue contents and core ids alone, so the schedule
+   (and every trace derived from it) is reproducible for a given seed
+   and core count. *)
 let dispatch t =
   let n = Array.length t.core_array in
   let continue = ref true in
-  while !continue && t.ready_count > 0 do
-    if not (Array.exists (fun c -> not c.busy) t.core_array) then
-      continue := false
-    else
-      match oldest_runnable t with
-      | None -> continue := false
-      | Some (qi, rseq) ->
-          let thread, resume, _ = remove_entry t qi rseq in
-          t.ready_count <- t.ready_count - 1;
-          let core =
-            match thread.affinity with
-            | Some a -> t.core_array.(a)
-            | None ->
-                if not t.core_array.(qi).busy then t.core_array.(qi)
-                else begin
-                  let rec idle k =
-                    let c = t.core_array.((qi + k) mod n) in
-                    if c.busy then idle (k + 1) else c
-                  in
-                  t.steals <- t.steals + 1;
-                  let c = idle 1 in
-                  if Hb.on (bus t) then
-                    Hb.emit (bus t)
-                      (Hb.Steal { tid = thread.tid; core = c.index });
-                  c
-                end
-          in
-          exec t core thread resume
+  while !continue && t.idle > 0 do
+    let best_seq =
+      ref
+        (if Queue.is_empty t.unpinned then max_int
+         else (Queue.peek t.unpinned).seq)
+    in
+    let best_core = ref (-1) in
+    if t.pinned_ready > 0 then
+      for c = 0 to n - 1 do
+        let q = t.pinned.(c) in
+        if (not t.core_array.(c).busy) && not (Queue.is_empty q) then begin
+          let s = (Queue.peek q).seq in
+          if s < !best_seq then begin
+            best_seq := s;
+            best_core := c
+          end
+        end
+      done;
+    if !best_seq = max_int then continue := false
+    else if !best_core >= 0 then begin
+      let e = Queue.pop t.pinned.(!best_core) in
+      t.pinned_ready <- t.pinned_ready - 1;
+      exec t t.core_array.(!best_core) e.thread e.resume
+    end
+    else begin
+      let e = Queue.pop t.unpinned in
+      let home = e.thread.home in
+      let c = ref home in
+      while t.core_array.(!c).busy do
+        c := (!c + 1) mod n
+      done;
+      if !c <> home then begin
+        t.steals <- t.steals + 1;
+        if Hb.on (bus t) then
+          Hb.emit (bus t) (Hb.Steal { tid = e.thread.tid; core = !c })
+      end;
+      exec t t.core_array.(!c) e.thread e.resume
+    end
   done
 
 let enqueue_new t ?name ?affinity body =
@@ -474,24 +463,23 @@ let spawn ?name ?affinity t body =
   enqueue_new t ?name ?affinity body
 
 let run ?until t =
-  t.until_limit <- (match until with Some u -> u | None -> Int64.max_int);
+  let limit = match until with Some u -> u | None -> Int64.max_int in
+  t.until_limit <- limit;
   dispatch t;
   let continue = ref true in
-  while !continue do
-    match Heap.peek t.events with
-    | None -> continue := false
-    | Some e -> (
-        match until with
-        | Some limit when e.Heap.time > limit ->
-            t.now <- limit;
-            continue := false
-        | Some _ | None ->
-            let e = Heap.pop t.events in
-            t.now <- e.Heap.time;
-            t.in_event <- true;
-            e.Heap.action ();
-            t.in_event <- false;
-            dispatch t)
+  while !continue && not (Heap.is_empty t.events) do
+    if Heap.min_time_exceeds t.events limit then begin
+      t.now <- limit;
+      continue := false
+    end
+    else begin
+      let e = Heap.pop t.events in
+      t.now <- e.Heap.time;
+      t.in_event <- true;
+      e.Heap.action ();
+      t.in_event <- false;
+      dispatch t
+    end
   done
 
 (* In-thread operations. *)
@@ -513,7 +501,7 @@ let advance_direct t n =
   let target = Int64.add t.now n in
   if
     n >= 0L && t.in_event
-    && t.ready_count = 0
+    && ready_count t = 0
     && t.active_resumes = 1
     && t.running_tid >= 0
     && target <= t.until_limit

@@ -9,17 +9,20 @@
     kernel lock, Nginx workers yielding during network waits) emerge
     naturally.
 
-    Scheduling is non-preemptive and deterministic, with per-core run
-    queues: a ready thread is enqueued on its affinity core when pinned,
-    otherwise on the core it last ran on (its home; initially tid mod
-    cores). Dispatch runs ready entries globally oldest first (a global
-    ready-sequence stamp preserves single-FIFO semantics across the
-    queues); the entry runs on its own queue's core when idle, else on
-    the first idle core scanning upward from it — a steal that migrates
-    and re-homes the thread. A pinned entry whose core is busy is
-    skipped, never migrated. Both choices are functions of queue
-    contents and core ids alone, so for a given seed and core count the
-    schedule (and every trace derived from it) is bit-reproducible. *)
+    Scheduling is non-preemptive and deterministic. Every ready thread
+    is stamped with a global ready sequence and queued in age order: a
+    pinned thread on its affinity core's FIFO, an unpinned one on the
+    single unpinned FIFO. Dispatch runs ready entries globally oldest
+    first, so the schedule is that of one FIFO. An unpinned entry runs
+    on its home core (the core it last ran on; initially tid mod cores)
+    when idle, else on the first idle core scanning upward from it — a
+    steal that migrates and re-homes the thread. A pinned entry whose
+    core is busy waits, never migrated, and younger runnable work runs
+    past it. Both choices are functions of queue contents and core ids
+    alone, so for a given seed and core count the schedule (and every
+    trace derived from it) is bit-reproducible. A dispatch step
+    allocates nothing and does not scan the cores unless a pinned
+    thread is ready. *)
 
 type t
 type tid = int
@@ -34,8 +37,8 @@ val create : ?cores:int -> unit -> t
 val cores : t -> int
 
 val steals : t -> int
-(** Number of cross-queue work steals performed so far: an idle core
-    running an entry homed on another core's queue. *)
+(** Number of work steals performed so far: an idle core running an
+    unpinned entry whose home core was busy. *)
 
 val running_tid : t -> tid
 (** The simulated thread currently executing host code on this engine,

@@ -638,6 +638,39 @@ let test_mpy_store_idx_bounds () =
   in
   Alcotest.(check bool) "indexed store checked" true raised
 
+(* The interpreter's operand stack is unboxed: a run allocates its
+   locals and stack once, whatever the instruction count. *)
+let test_mpy_run_allocation () =
+  let words n =
+    run_os (fun _os api ->
+        let api = { api with Api.compute = (fun _ -> ()) } in
+        Test_mem.allocated_words (fun () ->
+            ignore (Mpy.run api (Mpy.float_operation ~n))))
+  in
+  let w1000 = words 1000 and w4000 = words 4000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words for 17k instructions <= 256" w1000)
+    true (w1000 <= 256);
+  Alcotest.(check int) "independent of instruction count" w1000 w4000
+
+(* [estimated_cycles] runs the same loop as [run], so it predicts the
+   charged cycles exactly, including for indexed programs whose locals
+   exceed any default. *)
+let test_mpy_estimate_exact () =
+  let n = 37 in
+  let locals = Mpy.matmul_locals ~n and program = Mpy.matmul ~n in
+  let charged =
+    run_os (fun _os api ->
+        let total = ref 0L in
+        let api =
+          { api with Api.compute = (fun c -> total := Int64.add !total c) }
+        in
+        ignore (Mpy.run api ~locals program);
+        !total)
+  in
+  Alcotest.(check int64) "estimate = charged" charged
+    (Mpy.estimated_cycles ~locals program)
+
 let test_zygote_roundtrip () =
   let n =
     run_os ~image:Image.micropython (fun _os api ->
@@ -771,6 +804,8 @@ let suite =
     ("mpy matmul value", `Quick, test_mpy_matmul_value);
     ("mpy linpack value", `Quick, test_mpy_linpack_value);
     ("mpy indexed bounds", `Quick, test_mpy_store_idx_bounds);
+    ("mpy run allocates O(1) words", `Quick, test_mpy_run_allocation);
+    ("mpy estimate is exact", `Quick, test_mpy_estimate_exact);
     ("zygote roundtrip", `Quick, test_zygote_roundtrip);
     ("zygote fork check", `Quick, test_zygote_fork_check);
     ("faas counts", `Quick, test_faas_counts);

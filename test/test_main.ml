@@ -5,6 +5,7 @@ let () =
       ("cheri", Test_cheri.suite);
       ("mem", Test_mem.suite);
       ("sim", Test_sim.suite);
+      ("schedule", Test_schedule.suite);
       ("sas", Test_sas.suite);
       ("core", Test_core.suite);
       ("baselines", Test_baselines.suite);

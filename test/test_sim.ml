@@ -264,6 +264,27 @@ let test_many_cores_parallel () =
   Alcotest.(check int64) "fully parallel" 100L (Engine.now e);
   Alcotest.(check int) "no steals needed" 0 (Engine.steals e)
 
+(* A dispatch step on 512 cores costs a constant number of words — the
+   ready entry, the continuation and the effect handler's closure — not
+   a walk over every core's queue. Pinned and unpinned threads yield in
+   turn, so both the pinned and the unpinned queues are exercised. *)
+let test_dispatch_allocation () =
+  let rounds = 200 in
+  let e = Engine.create ~cores:512 () in
+  let yielder () =
+    for _ = 1 to rounds do
+      Engine.yield ()
+    done
+  in
+  ignore (Engine.spawn ~affinity:7 e yielder);
+  ignore (Engine.spawn e yielder);
+  ignore (Engine.spawn e yielder);
+  let words = Test_mem.allocated_words (fun () -> Engine.run e) in
+  let per_yield = words / (3 * rounds) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words per yield round trip <= 40" per_yield)
+    true (per_yield <= 40)
+
 let test_waker_pending () =
   let e = Engine.create ~cores:1 () in
   let stash = ref None in
@@ -578,6 +599,8 @@ let suite =
     ("blocked pinned entry does not shadow", `Quick,
      test_pinned_blocked_does_not_shadow);
     ("128 cores fully parallel", `Quick, test_many_cores_parallel);
+    ("512-core dispatch allocates O(1) words", `Quick,
+     test_dispatch_allocation);
     ("waker pending", `Quick, test_waker_pending);
     ("lock mutual exclusion", `Quick, test_lock_mutual_exclusion);
     ("lock fifo", `Quick, test_lock_fifo);
