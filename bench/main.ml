@@ -9,9 +9,10 @@
 
    Available targets: table1 survey fig1-2 fig3 fig4 fig5 fig6 fig7 fig8
    fig9 toctou ablations (also ablate-proactive, ablate-entry,
-   ablate-isolation) smp events all quick (= all with reduced
-   sizes/windows). The smp target sweeps --cores-sweep and writes
-   BENCH_smp.json. *)
+   ablate-isolation) smp all quick (= all with reduced sizes/windows).
+   The smp target sweeps --cores-sweep and writes BENCH_smp.json. The
+   simulator's own host cost (wall time, events per host second,
+   allocated words) is measured by perfbench/run.py, not here. *)
 
 module Table = Ufork_util.Table
 module Stats = Ufork_util.Stats
@@ -751,151 +752,6 @@ let smp () =
   note "wrote %s\n" !smp_out
 
 (* ------------------------------------------------------------------ *)
-(* Events: host-side throughput of the charging hot path. Each point is
-   an emit-heavy workload; the metric is simulated mechanism events
-   (counted by the end-of-run audit via Experiments.emits_total) per
-   second of host wall-clock. Tracked PR-over-PR in BENCH_events.json;
-   the CI perf-smoke job fails if `--min-events-per-s` undershoots. *)
-
-let events_out = ref "BENCH_events.json"
-let min_events_per_s : float option ref = ref None
-let events_baseline : float option ref = ref None
-
-(* The pure emit microloop: one μprocess charging fixed-size compute
-   slices back to back. Nothing else is runnable, so every slice takes
-   Trace.emit's fastest path — this point isolates the per-event cost
-   the rest of the suite dilutes with boot, fork and scheduler work. *)
-let charge_loop ~emits =
-  ignore
-    (E.run_main ~cores:1 (E.Ufork Strategy.Copa) ~image:Ufork_sas.Image.hello
-       (fun api ->
-         for _ = 1 to emits do
-           api.Ufork_sas.Api.compute 64L
-         done))
-
-let events () =
-  section "Events: simulated mechanism events per host second (hot path)";
-  (* Each point returns the number of simulated events it emitted, as
-     counted by the end-of-run audit hook. *)
-  let counted run () =
-    E.reset_emits ();
-    run ();
-    E.emits_total ()
-  in
-  (* Point weights follow the metric: this suite measures the emit hot
-     path, so emit-dense work (the charge loop, unixbench's syscall
-     storm) carries most of the wall time, while boot-bound (hello) and
-     host-memcpy-bound (redis) workloads ride along as context rows —
-     their per-point rates are reported but they are deliberately sized
-     not to drown the hot path they barely exercise. *)
-  let pts =
-    [
-      ( "charge-loop 64-cycle slices",
-        let n = if !quick then 2_000_000 else 8_000_000 in
-        counted (fun () -> charge_loop ~emits:n) );
-      ( "hello-fork x3 flavours",
-        let reps = if !quick then 20 else 300 in
-        counted (fun () ->
-            for _ = 1 to reps do
-              List.iter
-                (fun s -> ignore (E.hello_run s))
-                [ E.Ufork Strategy.Copa; E.Cheribsd; E.Nephele ]
-            done) );
-      ( (if !quick then "redis-save 1MB CoPA" else "redis-save 10MB CoPA"),
-        let reps = if !quick then 1 else 4 in
-        let value_len = if !quick then 10 * 1024 else 100 * 1024 in
-        let db_label = if !quick then "1 MB" else "10 MB" in
-        counted (fun () ->
-            for _ = 1 to reps do
-              ignore
-                (E.redis_run (E.Ufork Strategy.Copa) ~entries:100 ~value_len
-                   ~db_label)
-            done) );
-      ( "fork-storm 4 cores",
-        let iters = if !quick then 100 else 400 in
-        counted (fun () ->
-            ignore
-              (E.fork_storm_run (E.Ufork Strategy.Copa) ~cores:4 ~iters ())) );
-      ( "unixbench spawn+context1",
-        let sp = spawn_iters () and c1 = context1_iters () in
-        counted (fun () ->
-            ignore
-              (E.unixbench_run (E.Ufork Strategy.Copa) ~spawn_iters:sp
-                 ~context1_iters:c1)) );
-    ]
-  in
-  let rows =
-    List.map
-      (fun (label, run) ->
-        let t0 = Monotonic_clock.now () in
-        let emits = run () in
-        let t1 = Monotonic_clock.now () in
-        let wall_s = Int64.to_float (Int64.sub t1 t0) /. 1e9 in
-        let eps = if wall_s > 0. then float_of_int emits /. wall_s else 0. in
-        (label, emits, wall_s, eps))
-      pts
-  in
-  Table.print
-    ~header:[ "point"; "events"; "wall (ms)"; "Mevents/s" ]
-    (List.map
-       (fun (label, emits, wall_s, eps) ->
-         [
-           label;
-           string_of_int emits;
-           f1 (wall_s *. 1e3);
-           f2 (eps /. 1e6);
-         ])
-       rows);
-  let total_emits =
-    List.fold_left (fun acc (_, e, _, _) -> acc + e) 0 rows
-  in
-  let total_wall =
-    List.fold_left (fun acc (_, _, w, _) -> acc +. w) 0. rows
-  in
-  let total_eps =
-    if total_wall > 0. then float_of_int total_emits /. total_wall else 0.
-  in
-  note "total: %d events in %s ms = %s Mevents/s\n" total_emits
-    (f1 (total_wall *. 1e3))
-    (f2 (total_eps /. 1e6));
-  (match !events_baseline with
-  | Some base when base > 0. ->
-      note "vs baseline %s Mevents/s: %sx\n" (f2 (base /. 1e6))
-        (f2 (total_eps /. base))
-  | Some _ | None -> ());
-  E.write_artifact !events_out (fun oc ->
-  Printf.fprintf oc
-    "{\n  \"bench\": \"events_hot_path\",\n  \"metric\": \"simulated \
-     mechanism events per host second (non-recorded path)\",\n  \
-     \"quick\": %b,\n  \"points\": [\n%s\n  ],\n  \"total_events\": %d,\n  \
-     \"total_wall_ms\": %.1f,\n  \"events_per_s\": %.0f%s\n}\n"
-    !quick
-    (String.concat ",\n"
-       (List.map
-          (fun (label, emits, wall_s, eps) ->
-            Printf.sprintf
-              "    {\"point\": %S, \"events\": %d, \"wall_ms\": %.1f, \
-               \"events_per_s\": %.0f}"
-              label emits (wall_s *. 1e3) eps)
-          rows))
-    total_emits (total_wall *. 1e3) total_eps
-    (match !events_baseline with
-    | Some base when base > 0. ->
-        Printf.sprintf
-          ",\n  \"baseline_events_per_s\": %.0f,\n  \
-           \"speedup_vs_baseline\": %.2f"
-          base (total_eps /. base)
-    | Some _ | None -> ""));
-  note "wrote %s\n" !events_out;
-  match !min_events_per_s with
-  | Some floor when total_eps < floor ->
-      Printf.eprintf
-        "events: throughput %.0f events/s below the required floor %.0f\n"
-        total_eps floor;
-      exit 1
-  | Some _ | None -> ()
-
-(* ------------------------------------------------------------------ *)
 
 let all () =
   table1 ();
@@ -927,23 +783,18 @@ let run_target = function
   | "ablate-proactive" | "ablate-entry" | "ablate-isolation" | "ablations" ->
       ablations ()
   | "smp" -> smp ()
-  | "events" -> events ()
   | "all" -> all ()
   | other ->
       Printf.eprintf "unknown bench target %S\n" other;
       exit 2
 
 let main targets quick_flag jobs_flag cores sweep smp_out_flag
-    smp_baseline_flag max_regress explain_out events_out_flag min_eps baseline
-    trace_out profile_out =
+    smp_baseline_flag max_regress explain_out trace_out profile_out =
   (* "quick" as a positional target is the historic spelling of --quick:
      it sets the flag and is dropped from the target list, so a bare
      `bench quick` runs the full reduced suite rather than nothing. *)
   if quick_flag || List.mem "quick" targets then quick := true;
   jobs := max 1 jobs_flag;
-  (match events_out_flag with Some p -> events_out := p | None -> ());
-  min_events_per_s := min_eps;
-  events_baseline := baseline;
   (match sweep with
   | Some s ->
       cores_sweep :=
@@ -964,6 +815,12 @@ let main targets quick_flag jobs_flag cores sweep smp_out_flag
         exit 2
       end)
     cores;
+  if not (max_regress >= 0.) then begin
+    Printf.eprintf
+      "bench: --max-regress-pct must be a non-negative percentage (got %g)\n"
+      max_regress;
+    exit 2
+  end;
   (match smp_out_flag with Some p -> smp_out := p | None -> ());
   smp_baseline := smp_baseline_flag;
   smp_max_regress_pct := max_regress;
@@ -984,7 +841,7 @@ let cmd =
   let targets =
     let doc =
       "Benchmark targets: table1, survey, fig1-2, fig3..fig9, toctou, \
-       ablations, smp, events, all (default)."
+       ablations, smp, all (default)."
     in
     Arg.(value & pos_all string [] & info [] ~docv:"TARGET" ~doc)
   in
@@ -1039,8 +896,8 @@ let cmd =
   in
   let max_regress =
     let doc =
-      "Allowed forks/s drop per sweep point, in percent, before \
-       $(b,--smp-baseline) fails the run."
+      "Allowed forks/s drop per sweep point, in percent (at least 0), \
+       before $(b,--smp-baseline) fails the run."
     in
     Arg.(
       value & opt float 15.0 & info [ "max-regress-pct" ] ~docv:"PCT" ~doc)
@@ -1056,33 +913,6 @@ let cmd =
       value
       & opt (some string) None
       & info [ "explain-out" ] ~docv:"FILE" ~doc)
-  in
-  let events_out_flag =
-    let doc = "Where the $(b,events) target writes its JSON report." in
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "events-out" ] ~docv:"FILE" ~doc)
-  in
-  let min_eps =
-    let doc =
-      "Fail (exit 1) if the $(b,events) target measures fewer simulated \
-       events per host second than $(docv) — the CI perf-smoke floor."
-    in
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "min-events-per-s" ] ~docv:"N" ~doc)
-  in
-  let baseline =
-    let doc =
-      "Baseline events-per-second to record (and report the speedup \
-       against) in the $(b,events) target's JSON."
-    in
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "events-baseline" ] ~docv:"N" ~doc)
   in
   let trace_out =
     let doc =
@@ -1104,6 +934,6 @@ let cmd =
     Term.(
       const main $ targets $ quick_flag $ jobs_flag $ cores $ sweep
       $ smp_out_flag $ smp_baseline_flag $ max_regress $ explain_out
-      $ events_out_flag $ min_eps $ baseline $ trace_out $ profile_out)
+      $ trace_out $ profile_out)
 
 let () = exit (Cmdliner.Cmd.eval cmd)

@@ -147,5 +147,3 @@ let run ?(dropped = 0) records =
       | _ -> ())
     (List.sort compare pids);
   List.rev !violations
-
-let of_trace t = run ~dropped:(Trace.dropped t) (Trace.records t)

@@ -20,6 +20,3 @@ val run :
   ?dropped:int -> Ufork_sim.Trace.record list -> Invariant.violation list
 (** Violations in stream order. [dropped] defaults to 0 (the stream is
     complete from the beginning). *)
-
-val of_trace : Ufork_sim.Trace.t -> Invariant.violation list
-(** [run] over the trace's buffered records with its drop count. *)

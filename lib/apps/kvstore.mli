@@ -47,6 +47,3 @@ val iter : t -> (key:string -> value_len:int -> read_value:(unit -> bytes) -> un
 (** Walk every entry (bucket order). [read_value] pulls the value bytes
     lazily so callers control when the (possibly page-copying) reads
     happen. *)
-
-val mem_used_bytes : t -> int
-(** Heap bytes consumed by the store (allocator view). *)

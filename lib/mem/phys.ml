@@ -82,7 +82,6 @@ let core_slot t =
   let c = Hb.core t.bus in
   if c < 0 then 0 else c mod Array.length t.local_free
 
-let local_free_frames t = t.local_len.(core_slot t)
 let refills t = t.refills
 let drains t = t.drains
 
@@ -183,15 +182,9 @@ let id f = f.fid
 let frames_in_use t = t.in_use
 let peak_frames t = t.peak
 let total_allocated t = t.total
-let reset_peak t = t.peak <- t.in_use
 
 let iter_frames t f =
   let ids = Hashtbl.fold (fun fid _ acc -> fid :: acc) t.registry [] in
   List.iter (fun fid -> f (Hashtbl.find t.registry fid)) (List.sort compare ids)
-
-let fold_frames t ~init ~f =
-  let acc = ref init in
-  iter_frames t (fun frame -> acc := f !acc frame);
-  !acc
 
 let chaos_skew_in_use t delta = t.in_use <- t.in_use + delta

@@ -53,9 +53,6 @@ val needs_global : t -> int -> bool
     carve)? The sharded kernel takes its frame-pool lock exactly when
     this is true. *)
 
-val local_free_frames : t -> int
-(** Free frames cached on the calling core's freelist. *)
-
 val refills : t -> int
 (** Batched freelist refills from the shared pool so far. *)
 
@@ -83,8 +80,6 @@ val peak_frames : t -> int
 val total_allocated : t -> int
 (** Cumulative number of [alloc] calls. *)
 
-val reset_peak : t -> unit
-
 (** {1 Frame registry}
 
     The pool remembers every frame it ever allocated, free ones included,
@@ -94,8 +89,6 @@ val reset_peak : t -> unit
 
 val iter_frames : t -> (frame -> unit) -> unit
 (** Every frame ever allocated, free ones included, in allocation order. *)
-
-val fold_frames : t -> init:'a -> f:('a -> frame -> 'a) -> 'a
 
 val chaos_skew_in_use : t -> int -> unit
 (** Fault injection only: desynchronize the [frames_in_use] counter from

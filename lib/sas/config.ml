@@ -75,7 +75,6 @@ let linux_default =
     area_fit = First_fit;
   }
 
-let with_toctou toctou t = { t with toctou }
 let with_aslr seed t = { t with aslr_seed = Some seed }
 let with_area_fit area_fit t = { t with area_fit }
 let with_isolation isolation t = { t with isolation }

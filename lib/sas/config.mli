@@ -82,7 +82,6 @@ val cheribsd_default : t
 val nephele_default : t
 val linux_default : t
 
-val with_toctou : bool -> t -> t
 val with_aslr : int64 -> t -> t
 val with_area_fit : area_fit -> t -> t
 val with_isolation : isolation -> t -> t

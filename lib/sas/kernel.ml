@@ -502,13 +502,6 @@ let find_area_of_addr t addr =
 
 let find_uproc t pid = Hashtbl.find_opt t.procs pid
 
-let live_process_count t =
-  (* Commutative count: traversal order cannot change the sum. *)
-  (Hashtbl.fold
-     (fun _ (u : Uproc.t) n ->
-       match u.Uproc.state with Uproc.Running -> n + 1 | _ -> n)
-     t.procs 0 [@ufork.order_independent])
-
 let map_zero_pages t u ~base ~bytes ?(read = true) ?(write = true)
     ?(exec = false) () =
   let pages = Addr.bytes_to_pages bytes in
@@ -1180,7 +1173,6 @@ and spawn_process t ?affinity ?reloc (u : Uproc.t) main =
          | exception Api.Exited _ -> ()
          | exception Killed_signal -> finish 137))
 
-let total_frames_in_use t = Phys.frames_in_use t.phys
 let last_fork_latency t = Trace.last_fork_latency t.trace
 
 (* {1 Introspection for the state sanitizer} *)
@@ -1191,8 +1183,6 @@ let fold_uprocs t ~init ~f =
     (fun acc pid -> f acc (Hashtbl.find t.procs pid))
     init
     (List.sort compare pids)
-
-let iter_uprocs t f = fold_uprocs t ~init:() ~f:(fun () u -> f u)
 
 let chaos_leak_root t =
   (* Chaos-only: hand the kernel's root capability to a μprocess by

@@ -114,7 +114,6 @@ val spawn_process :
     close fds, mark zombie, wake the parent. *)
 
 val find_uproc : t -> int -> Uproc.t option
-val live_process_count : t -> int
 
 val find_area_of_addr : t -> int -> (int * int) option
 (** The (base, bytes) of the live-or-zombie μprocess area containing an
@@ -303,8 +302,6 @@ val build_api :
 
 (** {1 Accounting} *)
 
-val total_frames_in_use : t -> int
-
 val arena_span : t -> int
 (** High-water mark of the shared virtual arena: how much contiguous
     address space μprocess areas have ever claimed (§6's fragmentation
@@ -329,8 +326,6 @@ val last_fork_latency : t -> int64
 val fold_uprocs : t -> init:'a -> f:('a -> Uproc.t -> 'a) -> 'a
 (** Every registered μprocess — running, zombie and reaped — in pid
     order. *)
-
-val iter_uprocs : t -> (Uproc.t -> unit) -> unit
 
 val areas : t -> (int * int * int) list
 (** The [(base, bytes, pid)] areas of live and zombie processes (reaped

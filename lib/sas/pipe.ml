@@ -26,7 +26,6 @@ let create ?(capacity = 64 * 1024) () =
   }
 
 let capacity t = t.capacity
-let available t = Buffer.length t.buf
 
 let try_write t b =
   if not t.read_open then raise Broken_pipe;

@@ -12,8 +12,6 @@ val create : ?capacity:int -> unit -> t
 (** Default capacity 64 KiB, as on most Unixes. *)
 
 val capacity : t -> int
-val available : t -> int
-(** Bytes currently buffered. *)
 
 exception Broken_pipe
 

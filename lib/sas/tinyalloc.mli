@@ -47,6 +47,3 @@ val heap_size : t -> int
 val high_water_meta_granules : t -> int
 (** Highest metadata granule ever used + 1; determines how many metadata
     pages the kernel must proactively copy at fork. *)
-
-val iter_blocks : t -> (block -> unit) -> unit
-(** Ascending address order. *)

@@ -23,10 +23,8 @@ val name : t -> int -> string
 val incr_id : t -> int -> unit
 val add_id : t -> int -> int -> unit
 val set_id : t -> int -> int -> unit
-
-val get_id : t -> int -> int
-(** By-id counterparts of {!incr}/{!add}/{!set}/{!get}; the id must come
-    from {!intern} on the same meter. *)
+(** By-id counterparts of {!incr}/{!add}/{!set}; the id must come from
+    {!intern} on the same meter. *)
 
 val incr : t -> string -> unit
 val add : t -> string -> int -> unit

@@ -23,7 +23,6 @@ let clear t i =
   let b = Char.code (Bytes.get t.bits (i lsr 3)) in
   Bytes.set t.bits (i lsr 3) (Char.chr (b land lnot (1 lsl (i land 7)) land 0xff))
 
-let assign t i v = if v then set t i else clear t i
 let clear_all t = Bytes.fill t.bits 0 (Bytes.length t.bits) '\000'
 
 let copy_into ~src ~dst =

@@ -12,7 +12,6 @@ val length : t -> int
 val get : t -> int -> bool
 val set : t -> int -> unit
 val clear : t -> int -> unit
-val assign : t -> int -> bool -> unit
 val clear_all : t -> unit
 val copy_into : src:t -> dst:t -> unit
 (** Copies all bits; the two bitsets must have equal length. *)

@@ -314,11 +314,11 @@ let parmap ~jobs f items =
         | None -> assert false (* every index below [n] was claimed *))
   end
 
-(* Host-side throughput accounting for the events bench: every
-   [finish_run] adds its machine's lifetime {!Trace.emits} here, so the
-   bench front end can report simulated events per wall-clock second
-   without threading counts through each experiment's row type. Atomic,
-   not mutexed: a sum is order-independent. *)
+(* Cross-run event count for perfbench's experiment rows: every
+   [finish_run] adds its machine's lifetime {!Trace.emits} here, so a
+   row can report the events its experiment emitted without threading
+   counts through each experiment's row type. Atomic, not mutexed: a
+   sum is order-independent. *)
 let emits_acc = Atomic.make 0
 [@@ufork.global_ok "an order-independent sum across every machine run"]
 let reset_emits () = Atomic.set emits_acc 0

@@ -156,8 +156,7 @@ val reset_emits : unit -> unit
 val emits_total : unit -> int
 (** Mechanism events emitted by every machine finished (via the
     end-of-run audit) since the last {!reset_emits}, summed across
-    domains — the numerator of the events bench's simulated-events per
-    host-second metric. *)
+    domains — the [events] column of perfbench's experiment rows. *)
 
 (** {1 The machine lifecycle}
 

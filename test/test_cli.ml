@@ -1,4 +1,5 @@
-(* The front ends reject a core count the engine cannot boot with a
+(* The front ends reject a flag value they cannot honour (a core count
+   the engine cannot boot, a regression gate no run can pass) with a
    one-line error naming the flag and an ordinary failure exit — never
    an uncaught Invalid_argument (exit 125). Runs the built executables;
    validation happens before any machine boots, so each call is
@@ -36,7 +37,7 @@ let contains ~needle hay =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
 
-let check_rejected ~front ~want_code exe args =
+let check_rejected ~front ~want_code ~flag exe args =
   let code, err = run exe args in
   let what = String.concat " " (front :: args) in
   Alcotest.(check int) (what ^ ": exit code") want_code code;
@@ -44,8 +45,8 @@ let check_rejected ~front ~want_code exe args =
     (what ^ ": one stderr line") 1
     (List.length (String.split_on_char '\n' (String.trim err)));
   Alcotest.(check bool)
-    (what ^ ": names --cores") true
-    (contains ~needle:"--cores" err)
+    (what ^ ": names " ^ flag) true
+    (contains ~needle:flag err)
 
 let test_bad_cores () =
   let sim = exe (Filename.concat "bin" "ufork_sim.exe")
@@ -53,11 +54,23 @@ let test_bad_cores () =
   List.iter
     (fun n ->
       let n = string_of_int n in
-      check_rejected ~front:"ufork_sim" ~want_code:1 sim
+      check_rejected ~front:"ufork_sim" ~want_code:1 ~flag:"--cores" sim
         [ "run"; "hello"; "--cores=" ^ n ];
-      check_rejected ~front:"bench" ~want_code:2 bench
+      check_rejected ~front:"bench" ~want_code:2 ~flag:"--cores" bench
         [ "fig8"; "--quick"; "--cores=" ^ n ])
     [ 0; -1; 1025 ]
+
+(* The smp gate fails a point whose forks/s dropped by more than the
+   allowed percentage, so a negative one fails even an unchanged curve
+   (and NaN passes every curve). *)
+let test_bad_max_regress () =
+  let bench = exe (Filename.concat "bench" "main.exe") in
+  List.iter
+    (fun pct ->
+      check_rejected ~front:"bench" ~want_code:2 ~flag:"--max-regress-pct"
+        bench
+        [ "fig8"; "--quick"; "--max-regress-pct=" ^ pct ])
+    [ "-1"; "-0.5"; "nan" ]
 
 (* A baseline that matches no sweep point gates nothing, so bench
    refuses it like an unreadable one: exit 2, naming the file. *)
@@ -84,6 +97,8 @@ let test_unmatched_smp_baseline () =
 let suite =
   [
     Alcotest.test_case "bad --cores is a usage error" `Quick test_bad_cores;
+    Alcotest.test_case "bad --max-regress-pct is a usage error" `Quick
+      test_bad_max_regress;
     Alcotest.test_case "unmatched --smp-baseline is an error" `Quick
       test_unmatched_smp_baseline;
   ]
