@@ -10,8 +10,9 @@
    Available targets: table1 survey fig1-2 fig3 fig4 fig5 fig6 fig7 fig8
    fig9 toctou ablations (also ablate-proactive, ablate-entry,
    ablate-isolation) smp all quick (= all with reduced sizes/windows).
-   The smp target sweeps --cores-sweep and writes BENCH_smp.json. The
-   simulator's own host cost (wall time, events per host second,
+   The smp target sweeps --cores-sweep and, given --smp-out, writes its
+   curve as JSON; `dune runtest` pins the full curve to BENCH_smp.json.
+   The simulator's own host cost (wall time, events per host second,
    allocated words) is measured by perfbench/run.py, not here. *)
 
 module Table = Ufork_util.Table
@@ -504,73 +505,11 @@ let ablations () =
 (* ------------------------------------------------------------------ *)
 (* SMP fork-throughput scaling: per-core run queues, sharded locks and
    IPI-costed shootdown windows, swept across core counts and against
-   the big-kernel-lock baseline. Emits BENCH_smp.json. *)
+   the big-kernel-lock baseline. --smp-out writes the curve as JSON. *)
 
 let cores_sweep = ref [ 1; 2; 4; 8; 16; 32; 64; 128; 256; 512 ]
-let smp_out = ref "BENCH_smp.json"
-let smp_baseline : string option ref = ref None
-let smp_max_regress_pct = ref 15.0
+let smp_out : string option ref = ref None
 let smp_explain_out : string option ref = ref None
-
-(* Extract `"key": value` from one line of our own smp JSON emitter's
-   output (one sweep point per line), returning the raw value text. A
-   substring scan is exact against that emitter and avoids growing a
-   JSON dependency for a three-field read. *)
-let json_field line key =
-  let pat = Printf.sprintf "\"%s\":" key in
-  let plen = String.length pat and len = String.length line in
-  let rec find i =
-    if i + plen > len then None
-    else if String.sub line i plen = pat then Some (i + plen)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start ->
-      let j = ref start in
-      while !j < len && line.[!j] = ' ' do
-        incr j
-      done;
-      let k = ref !j in
-      while !k < len && line.[!k] <> ',' && line.[!k] <> '}' do
-        incr k
-      done;
-      if !k > !j then Some (String.trim (String.sub line !j (!k - !j)))
-      else None
-
-let unquote s =
-  let n = String.length s in
-  if n >= 2 && s.[0] = '"' && s.[n - 1] = '"' then String.sub s 1 (n - 2)
-  else s
-
-(* (cores, locks, forks_per_s) per sweep point of a previous run's
-   BENCH_smp.json — the contention_at_top rows carry no "forks_per_s"
-   field, so filtering on that key selects exactly the points. *)
-let read_smp_baseline path =
-  match open_in path with
-  | exception Sys_error msg ->
-      Printf.eprintf "smp: cannot read baseline: %s\n" msg;
-      exit 2
-  | ic ->
-      let rec loop acc =
-        match input_line ic with
-        | exception End_of_file ->
-            close_in ic;
-            List.rev acc
-        | line -> (
-            match
-              ( json_field line "cores",
-                json_field line "locks",
-                json_field line "forks_per_s" )
-            with
-            | Some c, Some l, Some f -> (
-                match (int_of_string_opt c, float_of_string_opt f) with
-                | Some cores, Some fps ->
-                    loop ((cores, unquote l, fps) :: acc)
-                | _ -> loop acc)
-            | _ -> loop acc)
-      in
-      loop []
 
 let smp () =
   section "SMP: fork-throughput scaling (sharded locks vs big kernel lock)";
@@ -612,49 +551,6 @@ let smp () =
       note "64-core sharded vs 4-core BKL fork throughput: %sx\n"
         (f1 (s64.E.forks_per_s /. b4.E.forks_per_s))
   | _ -> ());
-  (* Regression gate: each sweep point's forks/s against the same
-     (cores, locks) point of a committed baseline curve. Points absent
-     from the baseline (a widened sweep) pass — only measured
-     regressions fail. *)
-  (match !smp_baseline with
-  | None -> ()
-  | Some path ->
-      let base = read_smp_baseline path in
-      let pct = !smp_max_regress_pct in
-      let matched = ref 0 in
-      let regressions =
-        List.filter_map
-          (fun (r : E.smp_row) ->
-            match
-              List.find_opt
-                (fun (c, l, _) -> c = r.E.cores && l = r.E.locks)
-                base
-            with
-            | None -> None
-            | Some (_, _, fps0) when fps0 > 0. ->
-                incr matched;
-                let drop = 100. *. (fps0 -. r.E.forks_per_s) /. fps0 in
-                if drop > pct then
-                  Some (r.E.cores, r.E.locks, fps0, r.E.forks_per_s, drop)
-                else None
-            | Some _ -> None)
-          points
-      in
-      note "baseline %s: %d/%d points matched, gate at -%s%%\n" path !matched
-        (List.length points) (f1 pct);
-      if !matched = 0 then begin
-        Printf.eprintf "smp: baseline %s matches no sweep point\n" path;
-        exit 2
-      end;
-      if regressions <> [] then (
-        List.iter
-          (fun (c, l, fps0, fps1, drop) ->
-            Printf.eprintf
-              "smp: %d-core %s forks/s regressed %.1f%% (baseline %.0f, \
-               measured %.0f, gate %.0f%%)\n"
-              c l drop fps0 fps1 pct)
-          regressions;
-        exit 1));
   (* Where does CoPA fork stop scaling? Rerun the top sweep point alone
      so the process-global lock registry holds exactly that machine's
      locks, then break contention down per resource (ROADMAP item 1).
@@ -694,8 +590,8 @@ let smp () =
        contention);
   (* Cross-check + export: the causal collector's per-lock wait counts
      and Sync's contention counters observe the same Contend events, so
-     they must agree (±5% guards future sampling); then write the
-     critical-path blame for the point as JSON. *)
+     they must agree exactly; then write the critical-path blame for the
+     point as JSON. *)
   (match (!smp_explain_out, graph) with
   | Some path, Some g ->
       let module Causal = Ufork_analysis.Causal in
@@ -712,11 +608,10 @@ let smp () =
               | Some (_, w, _) -> w
               | None -> 0
             in
-            let diff = abs (causal_waits - c.Sync.waits) in
-            if float_of_int diff > 0.05 *. float_of_int c.Sync.waits then (
+            if causal_waits <> c.Sync.waits then (
               Printf.eprintf
-                "smp: causal wait count for %s (%d) diverges >5%% from the \
-                 lock counters (%d)\n"
+                "smp: causal wait count for %s (%d) differs from the lock \
+                 counters (%d)\n"
                 c.Sync.lock causal_waits c.Sync.waits;
               exit 1)))
         contention;
@@ -727,29 +622,32 @@ let smp () =
       Printf.eprintf "smp: --explain-out %s: no causal graph collected\n" path;
       exit 1
   | None, _ -> ());
-  E.write_artifact !smp_out (fun oc ->
-  Printf.fprintf oc
-    "{\n  \"bench\": \"smp_fork_scaling\",\n  \"system\": %S,\n  \"workload\": \"fork_storm: one forking uproc per core, %d forks each, two-page dirty set\",\n  \"iters_per_forker\": %d,\n  \"points\": [\n%s\n  ],\n  \"contention_at_top\": {\n    \"cores\": %d,\n    \"locks\": [\n%s\n    ]\n  }\n}\n"
-    (E.system_label sys) iters iters
-    (String.concat ",\n"
-       (List.map
-          (fun (r : E.smp_row) ->
-            Printf.sprintf
-              "    {\"cores\": %d, \"locks\": %S, \"forks\": %d, \
-               \"forks_per_s\": %.1f, \"fault_p50_us\": %.3f, \
-               \"fault_p99_us\": %.3f, \"steals\": %d}"
-              r.E.cores r.E.locks r.E.forks r.E.forks_per_s r.E.fault_p50_us
-              r.E.fault_p99_us r.E.steals)
-          points))
-    top
-    (String.concat ",\n"
-       (List.map
-          (fun (c : Sync.contention) ->
-            Printf.sprintf
-              "      {\"lock\": %S, \"acquires\": %d, \"waits\": %d}"
-              c.Sync.lock c.Sync.acquires c.Sync.waits)
-          contention)));
-  note "wrote %s\n" !smp_out
+  match !smp_out with
+  | None -> ()
+  | Some path ->
+      E.write_artifact path (fun oc ->
+        Printf.fprintf oc
+          "{\n  \"bench\": \"smp_fork_scaling\",\n  \"system\": %S,\n  \"workload\": \"fork_storm: one forking uproc per core, %d forks each, two-page dirty set\",\n  \"iters_per_forker\": %d,\n  \"points\": [\n%s\n  ],\n  \"contention_at_top\": {\n    \"cores\": %d,\n    \"locks\": [\n%s\n    ]\n  }\n}\n"
+          (E.system_label sys) iters iters
+          (String.concat ",\n"
+             (List.map
+                (fun (r : E.smp_row) ->
+                  Printf.sprintf
+                    "    {\"cores\": %d, \"locks\": %S, \"forks\": %d, \
+                     \"forks_per_s\": %.1f, \"fault_p50_us\": %.3f, \
+                     \"fault_p99_us\": %.3f, \"steals\": %d}"
+                    r.E.cores r.E.locks r.E.forks r.E.forks_per_s
+                    r.E.fault_p50_us r.E.fault_p99_us r.E.steals)
+                points))
+          top
+          (String.concat ",\n"
+             (List.map
+                (fun (c : Sync.contention) ->
+                  Printf.sprintf
+                    "      {\"lock\": %S, \"acquires\": %d, \"waits\": %d}"
+                    c.Sync.lock c.Sync.acquires c.Sync.waits)
+                contention)));
+      note "wrote %s\n" path
 
 (* ------------------------------------------------------------------ *)
 
@@ -788,13 +686,17 @@ let run_target = function
       Printf.eprintf "unknown bench target %S\n" other;
       exit 2
 
-let main targets quick_flag jobs_flag cores sweep smp_out_flag
-    smp_baseline_flag max_regress explain_out trace_out profile_out =
+let main targets quick_flag jobs_flag cores sweep smp_out_flag explain_out
+    trace_out profile_out =
   (* "quick" as a positional target is the historic spelling of --quick:
      it sets the flag and is dropped from the target list, so a bare
      `bench quick` runs the full reduced suite rather than nothing. *)
   if quick_flag || List.mem "quick" targets then quick := true;
-  jobs := max 1 jobs_flag;
+  if jobs_flag < 1 then begin
+    Printf.eprintf "bench: --jobs must be at least 1 (got %d)\n" jobs_flag;
+    exit 2
+  end;
+  jobs := jobs_flag;
   (match sweep with
   | Some s ->
       cores_sweep :=
@@ -815,15 +717,7 @@ let main targets quick_flag jobs_flag cores sweep smp_out_flag
         exit 2
       end)
     cores;
-  if not (max_regress >= 0.) then begin
-    Printf.eprintf
-      "bench: --max-regress-pct must be a non-negative percentage (got %g)\n"
-      max_regress;
-    exit 2
-  end;
-  (match smp_out_flag with Some p -> smp_out := p | None -> ());
-  smp_baseline := smp_baseline_flag;
-  smp_max_regress_pct := max_regress;
+  smp_out := smp_out_flag;
   smp_explain_out := explain_out;
   let targets = List.filter (fun t -> t <> "quick") targets in
   let targets = if targets = [] then [ "all" ] else targets in
@@ -852,8 +746,8 @@ let cmd =
   let jobs_flag =
     let doc =
       "Run sweep points (fig6, redis figures, smp) on $(docv) OCaml \
-       domains. Each point owns its simulated machine, so output is \
-       byte-identical to --jobs 1."
+       domains (at least 1). Each point owns its simulated machine, so \
+       output is byte-identical to --jobs 1."
     in
     Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
   in
@@ -876,38 +770,21 @@ let cmd =
       value & opt (some string) None & info [ "cores-sweep" ] ~docv:"LIST" ~doc)
   in
   let smp_out_flag =
-    let doc = "Where the $(b,smp) target writes its JSON curve." in
+    let doc =
+      "Write the $(b,smp) target's curve as JSON to $(docv) (default: no \
+       file)."
+    in
     Arg.(
       value
       & opt (some string) None
       & info [ "smp-out" ] ~docv:"FILE" ~doc)
   in
-  let smp_baseline_flag =
-    let doc =
-      "Compare the $(b,smp) target's forks/s per (cores, locks) sweep \
-       point against a previous run's curve in $(docv) (a committed \
-       BENCH_smp.json) and fail (exit 1) on regression beyond \
-       $(b,--max-regress-pct) — the CI perf-smoke gate."
-    in
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "smp-baseline" ] ~docv:"FILE" ~doc)
-  in
-  let max_regress =
-    let doc =
-      "Allowed forks/s drop per sweep point, in percent (at least 0), \
-       before $(b,--smp-baseline) fails the run."
-    in
-    Arg.(
-      value & opt float 15.0 & info [ "max-regress-pct" ] ~docv:"PCT" ~doc)
-  in
   let explain_out =
     let doc =
       "Arm the causal collector on the $(b,smp) target's top-point rerun \
        and write the whole-run critical-path blame (JSON) to $(docv); \
-       fails if the causal per-lock wait counts diverge from the lock \
-       contention counters by more than 5%."
+       fails if the causal per-lock wait counts differ from the lock \
+       contention counters."
     in
     Arg.(
       value
@@ -933,7 +810,6 @@ let cmd =
     (Cmd.info "bench" ~doc)
     Term.(
       const main $ targets $ quick_flag $ jobs_flag $ cores $ sweep
-      $ smp_out_flag $ smp_baseline_flag $ max_regress $ explain_out
-      $ trace_out $ profile_out)
+      $ smp_out_flag $ explain_out $ trace_out $ profile_out)
 
 let () = exit (Cmdliner.Cmd.eval cmd)

@@ -238,7 +238,9 @@ let run_cmd =
       Arg.(
         value & opt int 5
         & info [ "top" ] ~docv:"K"
-            ~doc:"Explain: report the top $(docv) wait chains (default 5).")
+            ~doc:
+              "Explain: report the top $(docv) wait chains (default 5, at \
+               least 0).")
     in
     let artifact name doc =
       Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
@@ -391,7 +393,7 @@ let run_cmd =
             Option.value workload ~default:w,
             Some (Option.value cores ~default:n) )
     in
-    let _, _, _, artifacts = explain in
+    let _, _, top, artifacts = explain in
     let profile = List.mem `Profile observe || Option.is_some flame_out in
     let stats = List.mem `Stats observe || Option.is_some csv_out in
     let explaining =
@@ -400,6 +402,10 @@ let run_cmd =
     in
     if stats && sample_interval <= 0 then begin
       Printf.eprintf "run: --sample-interval must be positive\n";
+      exit 1
+    end;
+    if top < 0 then begin
+      Printf.eprintf "run: --top must be non-negative (got %d)\n" top;
       exit 1
     end;
     Option.iter

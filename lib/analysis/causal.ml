@@ -1,4 +1,5 @@
 module Hb = Ufork_util.Hb
+module Event = Ufork_sim.Event
 
 (* Causal trace graph + critical-path analyzer.
 
@@ -627,20 +628,6 @@ let pp_report ~top ppf r =
          else Int64.to_float cycles /. Int64.to_float wall)
   | None -> Format.fprintf ppf "@]")
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json r =
   let b = Buffer.create 4096 in
   let wall = Int64.sub r.r_t1 r.r_t0 in
@@ -655,7 +642,7 @@ let to_json r =
       Buffer.add_string b
         (Printf.sprintf "    %s{\"span\": \"%s\", \"cycles\": %Ld}"
            (if i = 0 then "" else ",")
-           (json_escape span) c))
+           (Event.json_escape span) c))
     r.r_blame;
   Buffer.add_string b "\n  ],\n  \"segments\": [\n";
   List.iteri
@@ -667,7 +654,7 @@ let to_json r =
            (if i = 0 then "" else ",")
            s.s_tid s.s_t0 s.s_t1
            (match s.s_kind with Run -> "run" | Sleep -> "sleep")
-           (json_escape s.s_span)))
+           (Event.json_escape s.s_span)))
     r.r_segments;
   Buffer.add_string b "\n  ],\n  \"chains\": [\n";
   List.iteri
@@ -678,9 +665,9 @@ let to_json r =
             \"cycles\": %Ld, \"waiter_span\": \"%s\", \"holder_span\": \
             \"%s\"}"
            (if i = 0 then "" else ",")
-           c.c_waiter c.c_holder (json_escape c.c_lock) c.c_cycles
-           (json_escape c.c_waiter_span)
-           (json_escape c.c_holder_span)))
+           c.c_waiter c.c_holder (Event.json_escape c.c_lock) c.c_cycles
+           (Event.json_escape c.c_waiter_span)
+           (Event.json_escape c.c_holder_span)))
     r.r_chains;
   Buffer.add_string b "\n  ],\n  \"lock_waits\": [\n";
   List.iteri
@@ -689,7 +676,7 @@ let to_json r =
         (Printf.sprintf
            "    %s{\"lock\": \"%s\", \"waits\": %d, \"wait_cycles\": %Ld}"
            (if i = 0 then "" else ",")
-           (json_escape lock) waits cycles))
+           (Event.json_escape lock) waits cycles))
     r.r_lock_waits;
   Buffer.add_string b "\n  ]\n}\n";
   Buffer.contents b
@@ -704,7 +691,7 @@ let to_dot r =
            "  n%d [label=\"t%d %s\\n%Ld cycles\\n%s\"%s];\n" i s.s_tid
            (match s.s_kind with Run -> "run" | Sleep -> "sleep")
            (Int64.sub s.s_t1 s.s_t0)
-           (json_escape s.s_span)
+           (Event.json_escape s.s_span)
            (match s.s_kind with
            | Sleep -> ", style=filled, fillcolor=lightyellow"
            | Run -> "")))
@@ -719,7 +706,7 @@ let to_dot r =
         (Printf.sprintf
            "  w%d [label=\"%s\\n%Ld cycles wait\\nt%d -> t%d\", \
             shape=ellipse, style=dashed];\n"
-           i (json_escape c.c_lock) c.c_cycles c.c_holder c.c_waiter))
+           i (Event.json_escape c.c_lock) c.c_cycles c.c_holder c.c_waiter))
     r.r_chains;
   Buffer.add_string b "}\n";
   Buffer.contents b
@@ -734,7 +721,7 @@ let to_chrome r =
            "  %s{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"X\", \
             \"ts\": %Ld, \"dur\": %Ld, \"pid\": 0, \"tid\": %d}"
            (if i = 0 then "" else ",\n")
-           (json_escape s.s_span)
+           (Event.json_escape s.s_span)
            (match s.s_kind with Run -> "run" | Sleep -> "sleep")
            s.s_t0
            (Int64.sub s.s_t1 s.s_t0)

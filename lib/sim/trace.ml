@@ -152,14 +152,13 @@ let dummy_agg = { self_cycles = 0; span_total = 0; closed = 0 }
 
 (* Slot fillers for the per-path arrays. Never written through: a slot is
    only read once its id has been interned, and interning installs fresh
-   structures first — so sharing them across traces (hence domains) is
-   safe. *)
-let dummy_children : (string, int) Hashtbl.t = Hashtbl.create 1
-[@@ufork.global_ok "a read-only slot filler, never written through"]
+   structures first. [path_children] is filled with the trace's own
+   [roots] table, so no filler is shared across traces (hence domains). *)
 let dummy_hist = Histogram.create ()
 
 let create ~engine ~costs ?(ring_capacity = default_ring_capacity) () =
   let cap = max 1 ring_capacity in
+  let roots = Hashtbl.create 64 in
   {
     engine;
     bus = Engine.bus engine;
@@ -185,11 +184,11 @@ let create ~engine ~costs ?(ring_capacity = default_ring_capacity) () =
     ring_len = 0;
     dropped = 0;
     recording = false;
-    roots = Hashtbl.create 64;
+    roots;
     path_names = Array.make 64 "";
     path_parents = Array.make 64 (-1);
     path_aggs = Array.make 64 dummy_agg;
-    path_children = Array.make 64 dummy_children;
+    path_children = Array.make 64 roots;
     path_hists = Array.make 64 dummy_hist;
     n_paths = 0;
     unattr_id = -1;
@@ -295,7 +294,7 @@ let grow_paths t =
   let aggs = Array.make cap dummy_agg in
   Array.blit t.path_aggs 0 aggs 0 n;
   t.path_aggs <- aggs;
-  let children = Array.make cap dummy_children in
+  let children = Array.make cap t.roots in
   Array.blit t.path_children 0 children 0 n;
   t.path_children <- children;
   let hists = Array.make cap dummy_hist in
@@ -592,7 +591,7 @@ let reset t =
   Hashtbl.reset t.roots;
   Array.fill t.path_names 0 t.n_paths "";
   Array.fill t.path_aggs 0 t.n_paths dummy_agg;
-  Array.fill t.path_children 0 t.n_paths dummy_children;
+  Array.fill t.path_children 0 t.n_paths t.roots;
   Array.fill t.path_hists 0 t.n_paths dummy_hist;
   t.n_paths <- 0;
   t.unattr_id <- -1;

@@ -1,9 +1,9 @@
 (* The front ends reject a flag value they cannot honour (a core count
-   the engine cannot boot, a regression gate no run can pass) with a
-   one-line error naming the flag and an ordinary failure exit — never
-   an uncaught Invalid_argument (exit 125). Runs the built executables;
-   validation happens before any machine boots, so each call is
-   instant. *)
+   the engine cannot boot, fewer than one domain, a negative number of
+   wait chains) with a one-line error naming the flag and an ordinary
+   failure exit — never an uncaught Invalid_argument (exit 125), never a
+   silent clamp. Runs the built executables; validation happens before
+   any machine boots, so each call is instant. *)
 
 (* Under [dune runtest] the cwd is _build/default/test; under [dune exec]
    from the repo root it is the root. *)
@@ -60,45 +60,24 @@ let test_bad_cores () =
         [ "fig8"; "--quick"; "--cores=" ^ n ])
     [ 0; -1; 1025 ]
 
-(* The smp gate fails a point whose forks/s dropped by more than the
-   allowed percentage, so a negative one fails even an unchanged curve
-   (and NaN passes every curve). *)
-let test_bad_max_regress () =
+(* --jobs below 1 is an error, not a clamp to 1; a negative --top is an
+   error, not an empty chain list. *)
+let test_bad_jobs () =
   let bench = exe (Filename.concat "bench" "main.exe") in
   List.iter
-    (fun pct ->
-      check_rejected ~front:"bench" ~want_code:2 ~flag:"--max-regress-pct"
-        bench
-        [ "fig8"; "--quick"; "--max-regress-pct=" ^ pct ])
-    [ "-1"; "-0.5"; "nan" ]
+    (fun n ->
+      check_rejected ~front:"bench" ~want_code:2 ~flag:"--jobs" bench
+        [ "fig8"; "--quick"; "--jobs=" ^ n ])
+    [ "0"; "-3" ]
 
-(* A baseline that matches no sweep point gates nothing, so bench
-   refuses it like an unreadable one: exit 2, naming the file. *)
-let test_unmatched_smp_baseline () =
-  let bench = exe (Filename.concat "bench" "main.exe") in
-  let baseline = Filename.temp_file "ufork_smp_baseline" ".json"
-  and out = Filename.temp_file "ufork_smp" ".json" in
-  Fun.protect
-    ~finally:(fun () -> List.iter Sys.remove [ baseline; out ])
-    (fun () ->
-      Out_channel.with_open_bin baseline (fun oc ->
-          output_string oc "{}\n");
-      let code, err =
-        run bench
-          [
-            "smp"; "--quick"; "--cores-sweep"; "1"; "--smp-out"; out;
-            "--smp-baseline"; baseline;
-          ]
-      in
-      Alcotest.(check int) "exit code" 2 code;
-      Alcotest.(check bool) "names the baseline" true
-        (contains ~needle:baseline err))
+let test_bad_top () =
+  let sim = exe (Filename.concat "bin" "ufork_sim.exe") in
+  check_rejected ~front:"ufork_sim" ~want_code:1 ~flag:"--top" sim
+    [ "run"; "hello"; "--observe"; "explain"; "--top=-2" ]
 
 let suite =
   [
     Alcotest.test_case "bad --cores is a usage error" `Quick test_bad_cores;
-    Alcotest.test_case "bad --max-regress-pct is a usage error" `Quick
-      test_bad_max_regress;
-    Alcotest.test_case "unmatched --smp-baseline is an error" `Quick
-      test_unmatched_smp_baseline;
+    Alcotest.test_case "bad --jobs is a usage error" `Quick test_bad_jobs;
+    Alcotest.test_case "bad --top is a usage error" `Quick test_bad_top;
   ]

@@ -19,6 +19,5 @@ let () =
       ("lint", Test_lint.suite);
       ("profile", Test_profile.suite);
       ("integration", Test_integration.suite);
-      ("golden", Test_golden.suite);
       ("cli", Test_cli.suite);
     ]
